@@ -22,7 +22,6 @@ from .combinat import (
 )
 from .density import (
     PhaseConstants,
-    Prediction,
     Regime,
     SeriesConvergenceError,
     SeriesValue,
@@ -36,10 +35,6 @@ from .density import (
     limit_density,
     missing_sum_probability_h2,
     phase_constants,
-    predict_cardinality_over_N,
-    predict_missing_diffs_h2,
-    predict_missing_sums_h2,
-    predict_ratio,
     predicted_ratio,
     predicted_xk,
 )
@@ -70,7 +65,6 @@ __all__ = [
     "ExperimentReport",
     "GenSumsetResult",
     "PhaseConstants",
-    "Prediction",
     "Regime",
     "ReportRow",
     "RepresentationCounts",
@@ -96,10 +90,6 @@ __all__ = [
     "missing_sum_probability_h2",
     "mstd_classify",
     "phase_constants",
-    "predict_cardinality_over_N",
-    "predict_missing_diffs_h2",
-    "predict_missing_sums_h2",
-    "predict_ratio",
     "predicted_ratio",
     "predicted_xk",
     "rep_count",

@@ -194,19 +194,25 @@ def rep_count_bruteforce(
     return _bruteforce_table(combo.s, combo.d, N)[n]
 
 
-@lru_cache(maxsize=32)
-def _class_table(s: int, d: int, N: int) -> Counter:
-    # A representation class is a pair (multiset of s plus-entries, multiset of
-    # d minus-entries); classes with equal block sums generate the same value,
-    # so tallying per block sum and convolving counts every class exactly once.
-    elements = range(N + 1)
-    plus_sums = Counter(sum(c) for c in combinations_with_replacement(elements, s))
-    minus_sums = Counter(sum(c) for c in combinations_with_replacement(elements, d))
+def class_tally(elements, combo: SignedCombination) -> Counter:
+    """Representation classes per generated value, entries drawn from elements.
+
+    A class is a pair (multiset of s plus-entries, multiset of d minus-entries);
+    classes with equal block sums generate the same value, so tallying per
+    block sum and convolving counts every class exactly once.
+    """
+    plus_sums = Counter(sum(c) for c in combinations_with_replacement(elements, combo.s))
+    minus_sums = Counter(sum(c) for c in combinations_with_replacement(elements, combo.d))
     table: Counter = Counter()
     for vp, cp in plus_sums.items():
         for vm, cm in minus_sums.items():
             table[vp - vm] += cp * cm
     return table
+
+
+@lru_cache(maxsize=32)
+def _class_table(combo: SignedCombination, N: int) -> Counter:
+    return class_tally(range(N + 1), combo)
 
 
 def distinct_class_count(
@@ -221,4 +227,4 @@ def distinct_class_count(
             f"enumerating {n_classes} representation classes exceeds the budget "
             f"of {tuple_budget}"
         )
-    return _class_table(combo.s, combo.d, N)[n]
+    return _class_table(combo, N)[n]

@@ -70,17 +70,6 @@ class PhaseConstants:
     quadrature_nodes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """A single predicted statistic, tagged with the formula that produced it."""
-
-    regime: Regime
-    combo: SignedCombination
-    kind: str  # 'cardinality-over-N' | 'ratio' | 'complement-count'
-    predicted: float
-    formula: str
-
-
 def limit_density(u: float, h: int) -> float:
     """Density of a sum of h uniform [0,1] variables, evaluated at u.
 
@@ -282,66 +271,6 @@ def predicted_ratio(
             raise ValueError("critical-regime ratio needs the coefficient c")
         return g_series(c, combo1).value / g_series(c, combo2).value
     raise ValueError(f"no general ratio prediction in regime {regime.value}")
-
-
-def predict_ratio(
-    combo1: SignedCombination,
-    combo2: SignedCombination,
-    delta: Fraction,
-    c: float | None = None,
-) -> Prediction:
-    """Regime-aware cardinality-ratio prediction with its formula recorded."""
-    regime = classify_regime(combo1.h, delta)
-    value = predicted_ratio(combo1, combo2, regime, c)
-    formula = (
-        "s2!d2!/(s1!d1!)"
-        if regime is Regime.FAST
-        else "g_series(c;s1,d1)/g_series(c;s2,d2)"
-    )
-    return Prediction(regime=regime, combo=combo1, kind="ratio", predicted=value,
-                      formula=formula)
-
-
-def predict_cardinality_over_N(
-    combo: SignedCombination, c: float, delta: Fraction
-) -> Prediction:
-    """Critical-decay size prediction |A_{s,d}|/N -> g(c; s, d)."""
-    regime = classify_regime(combo.h, delta)
-    if regime is not Regime.CRITICAL:
-        raise ValueError(
-            f"cardinality-over-N prediction holds at critical decay only, "
-            f"delta={delta} gives {regime.value}"
-        )
-    return Prediction(regime=regime, combo=combo, kind="cardinality-over-N",
-                      predicted=g_series(c, combo).value, formula="g_series(c;s,d)")
-
-
-def predict_missing_sums_h2(N: int, p: float, delta: Fraction) -> Prediction:
-    """Slow-decay missing-sum count prediction (exact per-value law, summed)."""
-    regime = classify_regime(2, delta)
-    if regime is not Regime.SLOW_H2:
-        raise ValueError(
-            f"the missing-sum prediction holds in the slow two-summand regime, "
-            f"delta={delta} gives {regime.value}"
-        )
-    return Prediction(regime=regime, combo=SignedCombination(2, 0),
-                      kind="complement-count",
-                      predicted=expected_missing_sums_h2(N, p),
-                      formula="sum of per-value missing-sum probabilities")
-
-
-def predict_missing_diffs_h2(N: int, p: float, delta: Fraction) -> Prediction:
-    """Slow-decay missing-difference count prediction (residue-chain product)."""
-    regime = classify_regime(2, delta)
-    if regime is not Regime.SLOW_H2:
-        raise ValueError(
-            f"the missing-difference prediction holds in the slow two-summand "
-            f"regime, delta={delta} gives {regime.value}"
-        )
-    return Prediction(regime=regime, combo=SignedCombination(1, 1),
-                      kind="complement-count",
-                      predicted=expected_missing_diffs_h2(N, p),
-                      formula="product of residue-chain no-pair probabilities")
 
 
 def missing_sum_probability_h2(n: int, N: int, p: float) -> float:

@@ -14,13 +14,11 @@ statistics) are provided at small scale, guarded by tuple budgets.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .combinat import DEFAULT_TUPLE_BUDGET, BudgetError, SignedCombination
+from .combinat import DEFAULT_TUPLE_BUDGET, BudgetError, SignedCombination, class_tally
 from .sampling import SampledSet
 
 DEFAULT_BIT_BUDGET = 10**9
@@ -200,17 +198,7 @@ def tuple_statistics(
             f"enumerating {A.size ** combo.h} ordered tuples exceeds the budget "
             f"of {tuple_budget}"
         )
-    elements = A.elements.tolist()
-    plus_sums = Counter(
-        sum(block) for block in combinations_with_replacement(elements, combo.s)
-    )
-    minus_sums = Counter(
-        sum(block) for block in combinations_with_replacement(elements, combo.d)
-    )
-    class_counts: Counter = Counter()
-    for vp, cp in plus_sums.items():
-        for vm, cm in minus_sums.items():
-            class_counts[vp - vm] += cp * cm
+    class_counts = class_tally(A.elements.tolist(), combo)
     if k_max is None:
         k_max = max(class_counts.values(), default=0)
     x = {

@@ -172,6 +172,15 @@ def test_exit_code_2_on_config_errors(capsys, tmp_path):
     assert code == 2
     assert "p" in err
 
+    config_path.write_text(
+        json.dumps({"kind": "fast-ratio", "combos": [[1, 1], [2, 0]], "N": [200],
+                    "c": 1.0, "delta": "3/4", "trials": 2, "seed": 1,
+                    "tolerance": "ten"})
+    )
+    code, _, err = _run(capsys, "experiment", "--config", str(config_path))
+    assert code == 2
+    assert "tolerance" in err
+
     code, _, err = _run(capsys, "sample", "--N", "4", "--c", "10", "--delta", "1/2",
                         "--seed", "0")
     assert code == 2

@@ -24,12 +24,6 @@ from gensumset import (
     predicted_xk,
     rep_count,
 )
-from gensumset import (
-    predict_cardinality_over_N,
-    predict_missing_diffs_h2,
-    predict_missing_sums_h2,
-    predict_ratio,
-)
 from gensumset.density import missing_sums_asymptote_h2, quadrature_order
 
 
@@ -243,30 +237,6 @@ def test_fast_ratio_favors_more_minus_signs():
         for c2 in combos:
             if c1.h == c2.h and c1.d > c2.d:
                 assert predicted_ratio(c1, c2, Regime.FAST) >= 1.0
-
-
-def test_prediction_factories_enforce_regimes():
-    combo = SignedCombination(2, 1)
-    ratio = predict_ratio(combo, SignedCombination(3, 0), Fraction(4, 5))
-    assert ratio.regime is Regime.FAST
-    assert ratio.kind == "ratio"
-    assert ratio.predicted == pytest.approx(3.0)
-    assert "s2!d2!" in ratio.formula
-
-    size = predict_cardinality_over_N(combo, 2.0, Fraction(2, 3))
-    assert size.regime is Regime.CRITICAL
-    assert size.predicted == pytest.approx(g_series(2.0, combo).value)
-    with pytest.raises(ValueError):
-        predict_cardinality_over_N(combo, 2.0, Fraction(4, 5))  # fast, not critical
-
-    sums = predict_missing_sums_h2(1000, 0.2, Fraction(3, 10))
-    assert sums.regime is Regime.SLOW_H2
-    assert sums.kind == "complement-count"
-    assert sums.predicted == pytest.approx(expected_missing_sums_h2(1000, 0.2))
-    diffs = predict_missing_diffs_h2(1000, 0.2, Fraction(3, 10))
-    assert diffs.predicted == pytest.approx(expected_missing_diffs_h2(1000, 0.2))
-    with pytest.raises(ValueError):
-        predict_missing_sums_h2(1000, 0.2, Fraction(1, 2))  # critical, not slow
 
 
 def test_missing_sum_probability_examples():

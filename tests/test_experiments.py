@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gensumset import ConfigError, SignedCombination, sample_set
+from gensumset import BudgetError, ConfigError, SignedCombination, sample_set
+from gensumset import density, experiments
 from gensumset.experiments import (
     ExperimentConfig,
     config_from_jsonable,
@@ -11,6 +13,35 @@ from gensumset.experiments import (
     run_experiment,
 )
 from gensumset.sampling import SampleParameters
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _assert_golden(report, name):
+    """Compare a report with its golden file, written by the pre-pipeline runners.
+
+    b_constant takes its Gauss-Legendre nodes from numpy, so fields derived
+    from it can move in the last bit with the numpy version: the golden
+    files hold null there, and the tests check those fields against direct
+    density calls instead.
+    """
+    text = report.to_json()
+    if report.kind in ("critical-size", "b-convergence"):
+        data = report.to_jsonable()
+        for row in data["rows"]:
+            row.update(predicted=None, rel_err=None, passed=None)
+        if report.kind == "b-convergence":
+            data["extras"]["gaps"] = None
+            for check in data["checks"]:
+                check["value"] = None
+        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert text == (GOLDEN / f"{name}.json").read_text()
+
+
+def _assert_predicted(row, predicted, tolerance):
+    assert row.predicted == predicted
+    assert row.rel_err == abs(row.mean - predicted) / abs(predicted)
+    assert row.passed == (row.rel_err <= tolerance)
 
 
 def _fast_config(**overrides):
@@ -58,6 +89,24 @@ def test_config_errors_name_the_field():
         )
     with pytest.raises(ConfigError, match="trials"):
         config_from_jsonable({"kind": "mstd", "N": [10], "seed": 0})
+    base = {"kind": "mstd", "N": [10], "trials": 1, "seed": 0, "p": 0.5}
+    for field, value in [
+        ("trials", "ten"),
+        ("seed", [1]),
+        ("k", "two"),
+        ("bit_budget", "lots"),
+        ("N", ["x"]),
+        ("N", "x"),
+        ("c", "two"),
+        ("p", "half"),
+        ("tolerance", "ten"),
+        ("fraction_window", [0.0002]),
+        ("fraction_window", 0.0002),
+        ("delta", "1/0"),
+        ("combos", [[2]]),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            config_from_jsonable({**base, field: value})
 
 
 def test_kind_validation():
@@ -107,6 +156,21 @@ def test_kind_validation():
         )
 
 
+def test_budget_refused_before_sampling(monkeypatch):
+    def no_sampling(params):
+        raise AssertionError("sampled a set for an over-budget config")
+
+    monkeypatch.setattr(experiments, "sample_set", no_sampling)
+    # the budget admits the first N, not the second: nothing may be sampled
+    config = _fast_config(Ns=(1000, 600_000), bit_budget=10**6)
+    with pytest.raises(BudgetError, match="N: 600000"):
+        run_experiment(config)
+    mstd = ExperimentConfig(kind="mstd", Ns=(100,), trials=5, seed=0, p=0.5,
+                            bit_budget=100)
+    with pytest.raises(BudgetError, match="N: 100"):
+        run_experiment(mstd)
+
+
 def test_reports_are_deterministic_and_worker_independent():
     config = _fast_config()
     first = run_experiment(config, workers=1)
@@ -146,6 +210,7 @@ def test_fast_ratio_report_shape():
     parsed = json.loads(report.to_json())
     assert parsed["config"]["delta"] == "3/4"
     assert parsed["seed"] == 17
+    _assert_golden(report, "fast_ratio")
 
 
 def test_empty_trials_are_excluded_and_counted():
@@ -178,6 +243,9 @@ def test_critical_size_small_run():
     assert all(row.passed for row in report.rows)
     dominance = report.extras["first_combo_strictly_largest"]["20000"]
     assert dominance >= 0.9
+    _assert_golden(report, "critical_size")
+    for row, combo in zip(report.rows, config.combos):
+        _assert_predicted(row, density.g_series(1.0, combo).value, 0.15)
 
 
 def test_concentration_decreasing_cv():
@@ -195,6 +263,7 @@ def test_concentration_decreasing_cv():
     assert all(b < a for a, b in zip(cvs, cvs[1:]))
     assert report.all_pass
     assert all(row.predicted is None for row in report.rows)
+    _assert_golden(report, "concentration")
 
 
 def test_b_convergence_run():
@@ -211,6 +280,12 @@ def test_b_convergence_run():
     assert report.all_pass
     gaps = report.extras["gaps"]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    _assert_golden(report, "b_convergence")
+    target = density.b_constant(2, 2)
+    for row in report.rows:
+        _assert_predicted(row, target, 0.05)
+    assert gaps == [abs(row.mean - target) for row in report.rows]
+    assert [check.value for check in report.checks] == [gaps[-1], gaps[-1] / target]
 
 
 def test_mstd_small_run():
@@ -227,6 +302,7 @@ def test_mstd_small_run():
     ] == 4000
     same = run_experiment(config, workers=1)
     assert same.to_json() == report.to_json()
+    _assert_golden(report, "mstd")
 
 
 def test_slow_h2_small_run():
@@ -240,3 +316,4 @@ def test_slow_h2_small_run():
     assert len(table) == 20
     assert all(entry["ok"] for entry in table)
     assert run_experiment(config, workers=1).to_json() == report.to_json()
+    _assert_golden(report, "slow_h2")
