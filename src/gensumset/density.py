@@ -14,10 +14,12 @@ concurrent reads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -298,6 +300,9 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
     Direct sum of the per-value missing probabilities, folded across the
     midpoint; terms below 1e-30 are dropped (the truncated tail is smaller
     than 2N * 1e-30).  Tends to 4/p^2 as p -> 0 with N p^2 -> infinity.
+    Powers come from Python's pow, term by term, and the rest is correctly
+    rounded elementwise arithmetic, so every term has the bits of the
+    per-value loop over missing_sum_probability_h2.
     """
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
@@ -305,15 +310,21 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if N == 0:
         return 1.0 - p
-    terms = [missing_sum_probability_h2(N, N, p)]
-    for n in range(N):
-        t = missing_sum_probability_h2(n, N, p)
-        terms.append(2.0 * t)
-        if t < 1e-30 and n % 2 == 1:
-            # Odd-n probabilities dominate every later term, so this tail
-            # truncation is safe; the dropped mass is below 2N * 1e-30.
-            break
-    return math.fsum(terms)
+    q = 1.0 - p * p
+    # odd[m-1] = q**m is the missing probability of the odd value 2m-1 < N.
+    # Odd-value probabilities dominate every later term, so the sum stops at
+    # the first one below 1e-30.
+    half = N // 2
+    odd = np.fromiter(takewhile((1e-30).__le__, map(q.__pow__, range(1, half + 1))),
+                      dtype=float)
+    if odd.size < half:
+        odd = np.append(odd, q ** (odd.size + 1))
+        n_even = odd.size
+    else:
+        n_even = (N + 1) // 2
+    even = np.concatenate(([1.0], odd[: n_even - 1])) * (1.0 - p)  # values 0, 2, ...
+    middle = missing_sum_probability_h2(N, N, p)
+    return math.fsum(chain((middle,), 2.0 * odd, 2.0 * even))
 
 
 @lru_cache(maxsize=64)
@@ -325,24 +336,46 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
     so the missing probability is a product of per-chain no-adjacent-pair
     probabilities (a linear three-term recurrence in the chain length).
     Tends to 2(1-p^2)/p^2 as N -> infinity; 6 at p = 1/2.
+
+    Every n with the same chain length (N+1)//n shares the recurrence's
+    value, so it runs once, up to the longest chain, and the n of one
+    length are done together with Python's pow and elementwise products:
+    each term has the bits of a per-n loop.
     """
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     q = 1.0 - p
+    pq = p * q
     pair_free = math.log1p(-p * p)  # log P(one disjoint adjacent pair not chosen)
-    terms = [q ** (N + 1)]  # 0 is missing iff A is empty
-    for n in range(1, N + 1):
-        # The chains jointly contain N+1-n adjacent pairs, at least half of
-        # them disjoint, which bounds the missing probability from above;
-        # skip interior n whose bound is already negligible.
-        if (N + 1 - n) * pair_free / 2.0 < -70.0:
-            continue
-        length, longer = divmod(N + 1, n)
-        prev, cur = 1.0, 1.0  # no-pair probabilities for chain lengths 0 and 1
-        for _ in range(length):
-            prev, cur = cur, q * cur + p * q * prev
-        missing = cur**longer * prev ** (n - longer)
-        terms.append(2.0 * missing)
-    return math.fsum(terms)
+
+    # The chains jointly contain N+1-n adjacent pairs, at least half of them
+    # disjoint, which bounds the missing probability from above; interior n
+    # whose bound is already negligible are skipped.  The bound grows with n.
+    def kept(n):
+        return not (N + 1 - n) * pair_free / 2.0 < -70.0
+
+    first = 1 + bisect_left(range(1, N + 1), True, key=kept)
+    terms = [np.array([q ** (N + 1)])]  # 0 is missing iff A is empty
+    prev, cur = 1.0, 1.0  # no-pair probabilities for chain lengths 0 and 1
+    steps = 0
+    hi = N
+    while hi >= first:
+        length = (N + 1) // hi
+        lo = max(first, (N + 1) // (length + 1) + 1)
+        for _ in range(length - steps):
+            prev, cur = cur, q * cur + pq * prev
+        steps = length
+        # For n in [lo, hi], N+1 - length*n chains have length + 1 elements
+        # and the other (length+1)*n - (N+1) have length.
+        count = hi - lo + 1
+        longer = range(N + 1 - length * lo, N - length * hi, -length)
+        shorter = range((length + 1) * lo - N - 1, (length + 1) * hi - N, length + 1)
+        missing = np.fromiter(map(cur.__pow__, longer), dtype=float, count=count)
+        if length > 1:  # else prev is 1.0, and 1.0 ** k is exactly 1.0
+            missing *= np.fromiter(map(prev.__pow__, shorter), dtype=float, count=count)
+        missing *= 2.0
+        terms.append(missing)
+        hi = lo - 1
+    return math.fsum(chain.from_iterable(terms))

@@ -482,11 +482,15 @@ def _slow_h2(config, records):
         ]
         # Exact-law sub-check: observed missing frequency at each probe value
         # must sit within 5 standard errors of the per-value probability.
+        # With every A empty there is no frequency, and NaN fails the check.
         table = []
         for j, n in enumerate(probes):
-            freq = sum(mask >> j & 1 for _, _, mask in kept) / len(kept)
             prob = density.missing_sum_probability_h2(n, N, p)
-            se = math.sqrt(prob * (1.0 - prob) / len(kept))
+            if kept:
+                freq = sum(mask >> j & 1 for _, _, mask in kept) / len(kept)
+                se = math.sqrt(prob * (1.0 - prob) / len(kept))
+            else:
+                freq = se = math.nan
             table.append({"n": n, "freq": freq, "prob": prob,
                           "ok": abs(freq - prob) <= 5.0 * se + 1e-12})
         freq_tables[str(N)] = table

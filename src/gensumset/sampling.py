@@ -3,8 +3,8 @@
 Each trial draws its randomness from a Philox4x64 counter-based generator
 keyed by the pair (seed, trial_index), so trial t is the same bit stream no
 matter which worker runs it, in which order, on which platform.  Membership
-is decided by comparing N+1 uniform doubles against the inclusion
-probability p = c * N**(-delta) (or a fixed p).
+is decided by comparing N+1 uniform doubles, drawn in fixed-size chunks,
+against the inclusion probability p = c * N**(-delta) (or a fixed p).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,15 @@ class SampledSet:
             return NotImplemented
         return self.N == other.N and np.array_equal(self.elements, other.elements)
 
-    def bitmask(self) -> int:
-        """Characteristic bit-vector as an int: bit a is set iff a is a member."""
+    def packed_bits(self) -> np.ndarray:
+        """Characteristic vector as little-endian packed bytes (numpy uint8)."""
         mask = np.zeros(self.N + 1, dtype=bool)
         mask[self.elements] = True
-        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+        return np.packbits(mask, bitorder="little")
+
+    def bitmask(self) -> int:
+        """Characteristic bit-vector as an int: bit a is set iff a is a member."""
+        return int.from_bytes(self.packed_bits().tobytes(), "little")
 
     def write(self, out) -> None:
         """Two-line text format: `N=<N>`, then space-separated elements."""
@@ -124,8 +129,20 @@ def substream(seed: int, trial_index: int) -> np.random.Generator:
 
 
 def sample_set(params: SampleParameters) -> SampledSet:
-    """Draw one subset: each of 0..N kept independently with probability p."""
+    """Draw one subset: each of 0..N kept independently with probability p.
+
+    The N+1 uniforms are drawn in chunks of SAMPLE_CHUNK from the one
+    generator, which continues its stream across calls, so the set is the
+    same as from a single draw while memory stays at one chunk of doubles.
+    """
     p = effective_p(params)
     gen = substream(params.seed, params.trial_index)
-    mask = gen.random(params.N + 1) < p
-    return SampledSet(N=params.N, elements=np.flatnonzero(mask).astype(np.int64))
+    size = params.N + 1
+    if size <= SAMPLE_CHUNK:
+        elements = np.flatnonzero(gen.random(size) < p)
+    else:
+        elements = np.concatenate([
+            np.flatnonzero(gen.random(min(SAMPLE_CHUNK, size - lo)) < p) + lo
+            for lo in range(0, size, SAMPLE_CHUNK)
+        ])
+    return SampledSet(N=params.N, elements=elements.astype(np.int64))

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import expected_missing_diffs_by_subsets, missing_sum_probs_by_subsets
@@ -289,3 +289,63 @@ def test_missing_sum_law_hypothesis(N, p):
     oracle = missing_sum_probs_by_subsets(N, p)
     for n in range(2 * N + 1):
         assert abs(missing_sum_probability_h2(n, N, p) - oracle[n]) < 1e-12
+
+
+# The per-value loops the two exact laws were first written as.  The laws now
+# share chain recurrences and work in numpy, and must keep every bit.
+
+
+def _expected_missing_sums_loop(N, p):
+    if N == 0:
+        return 1.0 - p
+    terms = [missing_sum_probability_h2(N, N, p)]
+    for n in range(N):
+        t = missing_sum_probability_h2(n, N, p)
+        terms.append(2.0 * t)
+        if t < 1e-30 and n % 2 == 1:
+            break
+    return math.fsum(terms)
+
+
+def _expected_missing_diffs_loop(N, p):
+    q = 1.0 - p
+    pair_free = math.log1p(-p * p)
+    terms = [q ** (N + 1)]
+    for n in range(1, N + 1):
+        if (N + 1 - n) * pair_free / 2.0 < -70.0:
+            continue
+        length, longer = divmod(N + 1, n)
+        prev, cur = 1.0, 1.0
+        for _ in range(length):
+            prev, cur = cur, q * cur + p * q * prev
+        missing = cur**longer * prev ** (n - longer)
+        terms.append(2.0 * missing)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize(
+    "N, p",
+    [
+        (100, 0.5),
+        (1000, 0.1),
+        (10**4, 0.03),
+        (2 * 10**5, (2 * 10**5) ** -0.3),
+        (10**6, (10**6) ** -0.3),
+        (3 * 10**6, (3 * 10**6) ** -0.3),
+    ],
+)
+def test_missing_laws_equal_the_loops_bit_for_bit(N, p):
+    assert expected_missing_sums_h2(N, p) == _expected_missing_sums_loop(N, p)
+    assert expected_missing_diffs_h2(N, p) == _expected_missing_diffs_loop(N, p)
+
+
+@given(st.integers(0, 400), st.floats(0.01, 0.99))
+@example(400, 0.9)
+@example(399, 0.9)
+@example(1, 0.5)
+@settings(max_examples=80, deadline=None)
+def test_missing_laws_equal_the_loops_small_n(N, p):
+    # Covers both parities of N, sums cut short by the 1e-30 tail and sums
+    # run to the midpoint, and differences with and without skipped n.
+    assert expected_missing_sums_h2(N, p) == _expected_missing_sums_loop(N, p)
+    assert expected_missing_diffs_h2(N, p) == _expected_missing_diffs_loop(N, p)

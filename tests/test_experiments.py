@@ -317,3 +317,19 @@ def test_slow_h2_small_run():
     assert all(entry["ok"] for entry in table)
     assert run_experiment(config, workers=1).to_json() == report.to_json()
     _assert_golden(report, "slow_h2")
+
+
+def test_slow_h2_reports_a_run_where_every_set_is_empty():
+    config = ExperimentConfig(
+        kind="slow-h2", Ns=(20000,), trials=5, seed=40, c=1.0, delta=Fraction(3, 10)
+    )
+
+    def records(N, combos, probes=()):
+        # An empty A generates nothing, so every probe value is missing.
+        return [(0, 0, 0, (1 << len(probes)) - 1)] * config.trials
+
+    rows, checks, extras = experiments._slow_h2(config, records)
+    assert [row.excluded for row in rows] == [5, 5]
+    law = next(c for c in checks if c.name.startswith("missing-frequency-law"))
+    assert law.passed is False and law.value == 0.0
+    assert not any(entry["ok"] for entry in extras["missing_frequency"]["20000"])

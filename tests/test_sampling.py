@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gensumset import SampledSet, SampleParameters, effective_p, sample_set
+from gensumset.sampling import SAMPLE_CHUNK, substream
 
 
 def _params(N, seed=401, trial=0, **kw):
@@ -127,3 +128,15 @@ def test_round_trip_hypothesis(N, elements):
     A.write(buf)
     buf.seek(0)
     assert SampledSet.read(buf) == A
+
+
+@pytest.mark.parametrize(
+    "size", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 10**6 + 1]
+)
+def test_chunked_draws_equal_one_draw(size):
+    # Drawing the N+1 uniforms chunk by chunk continues one stream, so the
+    # set is the one a single draw of N+1 doubles gives.
+    for t in range(3):
+        A = sample_set(_params(size - 1, seed=11, trial=t, p=0.01))
+        one_draw = np.flatnonzero(substream(11, t).random(size) < 0.01)
+        assert np.array_equal(A.elements, one_draw)

@@ -17,6 +17,8 @@ from gensumset import (
     mstd_classify,
     tuple_statistics,
 )
+from gensumset import sumset
+from gensumset.sumset import BYTE_FOLD_MIN_N, _shift_or, _shift_or_bytes
 
 
 def _set(elements, N):
@@ -222,3 +224,40 @@ def test_summary_and_membership_csv():
 def test_kernel_matches_naive_hypothesis(elements, combo):
     A = SampledSet.from_iterable(elements, N=40)
     assert gen_sumset(A, combo) == gen_sumset_naive(A, combo)
+
+
+@given(
+    st.integers(1, 300).filter(lambda n: n % 8),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_byte_fold_matches_big_int_fold(length, data):
+    # Vectors whose bit length is not a whole number of bytes, and shift
+    # lists that hit every residue mod 8.
+    bits = data.draw(st.integers(0, (1 << (length - 1)) - 1)) | 1 << (length - 1)
+    shifts = [8 * data.draw(st.integers(0, 40)) + r for r in range(8)]
+    shifts += data.draw(st.lists(st.integers(0, 330), max_size=12))
+    shifts = data.draw(st.permutations(shifts))
+    packed = np.frombuffer(bits.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
+    folded = _shift_or_bytes(packed, shifts)
+    assert int.from_bytes(folded.tobytes(), "little") == _shift_or(bits, shifts)
+
+
+@pytest.mark.parametrize(
+    "N", [BYTE_FOLD_MIN_N - 1, BYTE_FOLD_MIN_N, BYTE_FOLD_MIN_N + 1]
+)
+def test_kernel_matches_naive_at_the_fold_threshold(N, monkeypatch):
+    byte_folds = []
+
+    def spy(acc, shifts):
+        byte_folds.append(len(shifts))
+        return _shift_or_bytes(acc, shifts)
+
+    monkeypatch.setattr(sumset, "_shift_or_bytes", spy)
+    rng = np.random.default_rng(N)
+    for _ in range(4):
+        inner = rng.integers(1, N, size=int(rng.integers(0, 7)))
+        A = _set([0, N, *inner.tolist()], N)  # the extremes span the whole range
+        for combo in all_combos(2, 4):
+            assert gen_sumset(A, combo) == gen_sumset_naive(A, combo)
+    assert bool(byte_folds) == (N >= BYTE_FOLD_MIN_N)
