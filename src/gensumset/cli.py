@@ -137,7 +137,7 @@ def _sample_params(args) -> SampleParameters:
             p=args.p,
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"probability: {exc}") from exc
+        raise ConfigError(str(exc)) from exc  # each message names its field
 
 
 def _cmd_sample(args) -> int:

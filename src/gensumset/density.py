@@ -3,9 +3,9 @@
 Scaled by N**(h-1), the representation counts converge to the density of a
 sum of h independent uniform [0,1] variables (the Irwin-Hall density); the
 overlap moments of that density are the constants b_{h,k} driving the
-critical-decay series g(c; s, d).  This module evaluates all of them in
-double precision, plus the exact missing-value laws for the two-summand
-slow-decay regime.
+critical-decay series g(c; s, d).  The density is one table of integer
+polynomial pieces, so each b_{h,k} is an exact rational, rounded once to a
+float.  Also here: the exact missing-value laws for two-summand slow decay.
 
 Everything is a pure function; the constant tables are cached and safe for
 concurrent reads.
@@ -59,17 +59,37 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class PhaseConstants:
-    """Table of the overlap-moment constants for one h.
-
-    b[k-1] holds the order-k constant; quadrature_nodes[k-1] records how many
-    Gauss-Legendre nodes per unit interval were used (enough to integrate the
-    degree-(h-1)k piecewise polynomial exactly).
-    """
+    """Table of the overlap-moment constants for one h: b[k-1] is b(h, k)."""
 
     h: int
     k_max: int
     b: tuple[float, ...]
-    quadrature_nodes: tuple[int, ...]
+
+
+def _times(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two polynomials given by their coefficients from t^0 up."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for m, b in enumerate(q):
+            out[i + m] += a * b
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _pieces(h: int) -> tuple[tuple[int, ...], ...]:
+    """(h-1)! times the Irwin-Hall density on [j, j+1], for j = 0..h-1.
+
+    Piece j is an integer polynomial in t = u - j, given by its coefficients
+    from t^0 up: the sum over i <= j of (-1)^i C(h, i) (t + j - i)^(h-1).
+    """
+    return tuple(
+        tuple(
+            math.comb(h - 1, m)
+            * sum((-1) ** i * math.comb(h, i) * (j - i) ** (h - 1 - m) for i in range(j + 1))
+            for m in range(h)
+        )
+        for j in range(h)
+    )
 
 
 def limit_density(u: float, h: int) -> float:
@@ -77,7 +97,7 @@ def limit_density(u: float, h: int) -> float:
 
     This is the scaling limit of rep_count(n)/N**(h-1) at u = (n + dN)/N.
     Evaluated on the left half and reflected: the density is symmetric about
-    h/2 and the alternating sum is much better conditioned for small u.
+    h/2 and its pieces are better conditioned for small u.
     """
     if h < 2:
         raise ValueError(f"h must be at least 2, got {h}")
@@ -85,54 +105,49 @@ def limit_density(u: float, h: int) -> float:
         return 0.0
     if u > h / 2:
         u = h - u
-    terms = []
-    for i in range(math.floor(u) + 1):
-        t = math.comb(h, i) * (u - i) ** (h - 1)
-        terms.append(-t if i & 1 else t)
-    return math.fsum(terms) / math.factorial(h - 1)
+    j = math.floor(u)
+    value = 0.0
+    for a in reversed(_pieces(h)[j]):  # Horner in t = u - j
+        value = value * (u - j) + a
+    return value / math.factorial(h - 1)
 
 
 @lru_cache(maxsize=256)
-def _gauss_legendre(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
+def _b_table(h: int, size: int) -> tuple[float, ...]:
+    """b(h, k) for k = 1..size, raising every piece to the power k in turn."""
+    powers = [(1,)] * h
+    table = []
+    for k in range(1, size + 1):
+        powers = list(map(_times, powers, _pieces(h)))
+        # The integral over [0, 1] of sum_m a_m t^m is sum_m a_m / (m+1).
+        integral = sum(Fraction(a, m + 1) for m, a in enumerate(map(sum, zip(*powers))))
+        table.append(float(integral / (math.factorial(h - 1) ** k * math.factorial(k))))
+    return tuple(table)
 
 
-def quadrature_order(h: int, k: int) -> int:
-    """Nodes per unit interval that integrate degree-(h-1)k polynomials exactly."""
-    return ((h - 1) * k + 2) // 2
-
-
-@lru_cache(maxsize=4096)
 def b_constant(h: int, k: int) -> float:
     """Order-k overlap moment of the limit density: (1/k!) * integral of f^k.
 
-    Per-unit-interval Gauss-Legendre quadrature; the integrand is polynomial
-    of degree (h-1)k between integer breakpoints, so the fixed order is exact
-    up to rounding.  b(h, 1) = 1 for every h (the density has unit mass).
+    Exact: on each unit interval f^k is an integer polynomial over (h-1)!^k,
+    so the integral is a rational number, rounded once to the nearest float.
+    b(h, 1) = 1 for every h (the density has unit mass).
     """
     if h < 2:
         raise ValueError(f"h must be at least 2, got {h}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    nodes, weights = _gauss_legendre(quadrature_order(h, k))
-    contributions = []
-    for j in range(h):
-        for x, w in zip(nodes, weights):
-            u = j + (x + 1.0) / 2.0
-            contributions.append(0.5 * w * limit_density(u, h) ** k)
-    return math.fsum(contributions) / math.factorial(k)
+    # Tables come in power-of-two sizes, so a growing k rebuilds few of them.
+    return _b_table(h, 1 << (k - 1).bit_length())[k - 1]
 
 
 def phase_constants(h: int, k_max: int) -> PhaseConstants:
-    """Tabulate b(h, k) for k = 1..k_max with quadrature metadata."""
+    """Tabulate b(h, k) for k = 1..k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be positive, got {k_max}")
     return PhaseConstants(
         h=h,
         k_max=k_max,
         b=tuple(b_constant(h, k) for k in range(1, k_max + 1)),
-        quadrature_nodes=tuple(quadrature_order(h, k) for k in range(1, k_max + 1)),
     )
 
 
@@ -151,7 +166,7 @@ def b_constant_finiteN_oracle(
 
     Sums the k-subset counts of the per-value representation classes and
     rescales by (s!d!)^k / N^((h-1)k+1); converges to b_constant(h, k) as N
-    grows.  Independent of the quadrature path, so the two arbitrate each
+    grows.  Independent of the density's polynomial pieces, so the two check each
     other.
     """
     if combo.h != h:

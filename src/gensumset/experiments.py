@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError("N: need at least one positive ground-set size")
         if self.trials < 1:
             raise ConfigError("trials: must be at least 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed: must lie in [0, 2**64), got {self.seed}")
         getattr(self, f"_validate_{self.kind.replace('-', '_')}")()
 
     def _require_decay(self, *regimes: density.Regime) -> None:
@@ -98,6 +100,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"delta: {self.delta} puts h={h} in regime {regime.value}, need {names}"
             )
+        for N in self.Ns:
+            try:
+                _effective_p(self, N)
+            except ValueError as exc:
+                raise ConfigError(f"c: {exc} at N = {N}") from exc
 
     def _validate_fast_ratio(self) -> None:
         if len(self.combos) != 2:
@@ -183,6 +190,13 @@ def config_to_jsonable(config: ExperimentConfig) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """A JSON integer; a float or a bool is refused rather than truncated."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _number(value):
     """A JSON number or null, kept as given so the report echoes it unchanged."""
     if value is not None and type(value) not in (int, float):
@@ -222,17 +236,17 @@ def config_from_jsonable(data: dict) -> ExperimentConfig:
 
     kwargs = dict(
         kind=data["kind"],
-        Ns=field("N", lambda v: tuple(map(int, v if isinstance(v, list) else [v]))),
-        trials=field("trials", int),
-        seed=field("seed", int),
+        Ns=field("N", lambda v: tuple(map(_integer, v if isinstance(v, list) else [v]))),
+        trials=field("trials", _integer),
+        seed=field("seed", _integer),
         combos=field("combos", lambda v: tuple(
-            SignedCombination(int(s), int(d)) for s, d in v), ()),
+            SignedCombination(_integer(s), _integer(d)) for s, d in v), ()),
         c=field("c", _number),
         delta=field("delta", _rational),
         p=field("p", _number),
-        k=field("k", int, 1),
+        k=field("k", _integer, 1),
         tolerance=field("tolerance", _number),
-        bit_budget=field("bit_budget", int, DEFAULT_BIT_BUDGET),
+        bit_budget=field("bit_budget", _integer, DEFAULT_BIT_BUDGET),
         fraction_window=field("fraction_window", _window, _FRACTION_WINDOW),
     )
     try:
@@ -560,7 +574,7 @@ _SUMMARIES = {
 
 
 def _b_convergence(config):
-    # No trials: exact finite-N oracles against the quadrature constant.
+    # No trials: exact finite-N oracles against the exact limit constant.
     (combo,) = config.combos
     h, k = combo.h, config.k
     target = density.b_constant(h, k)

@@ -38,6 +38,9 @@ class SampleParameters:
             raise ValueError(f"N must be positive, got {self.N}")
         if self.trial_index < 0:
             raise ValueError(f"trial_index must be non-negative, got {self.trial_index}")
+        if not 0 <= self.seed < 1 << 64:
+            # substream keys on the low 64 bits, so a wider seed would alias
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         decaying = self.c is not None or self.delta is not None
         if decaying == (self.p is not None):
             raise ValueError("give either (c, delta) or a fixed p, not both")
@@ -98,14 +101,24 @@ class SampledSet:
         return self.N == other.N and np.array_equal(self.elements, other.elements)
 
     def packed_bits(self) -> np.ndarray:
-        """Characteristic vector as little-endian packed bytes (numpy uint8)."""
-        mask = np.zeros(self.N + 1, dtype=bool)
-        mask[self.elements] = True
-        return np.packbits(mask, bitorder="little")
+        """Characteristic vector as little-endian packed bytes (numpy uint8).
+
+        Each element sets its bit in place, so no N+1-entry array is built.
+        """
+        e = self.elements
+        out = np.zeros((self.N + 8) // 8, dtype=np.uint8)
+        np.bitwise_or.at(out, e >> 3, (1 << (e & 7)).astype(np.uint8))
+        return out
 
     def bitmask(self) -> int:
-        """Characteristic bit-vector as an int: bit a is set iff a is a member."""
-        return int.from_bytes(self.packed_bits().tobytes(), "little")
+        """Characteristic bit-vector as an int: bit a is set iff a is a member.
+
+        Packs an N+1-entry bool mask: for the small N where the big-int fold
+        runs, that is a few times faster than packed_bits' scatter.
+        """
+        mask = np.zeros(self.N + 1, dtype=bool)
+        mask[self.elements] = True
+        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
     def write(self, out) -> None:
         """Two-line text format: `N=<N>`, then space-separated elements."""

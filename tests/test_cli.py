@@ -186,6 +186,27 @@ def test_exit_code_2_on_config_errors(capsys, tmp_path):
     assert code == 2
     assert "probability" in err
 
+    code, out, err = _run(capsys, "sample", "--N", "4", "--p", "0.5", "--seed", "-1")
+    assert code == 2
+    assert "seed" in err and out == ""
+
+    # each bad field exits 2, naming it, before the provenance line is printed
+    fast = {"kind": "fast-ratio", "combos": [[1, 1], [2, 0]], "N": [200, 4000],
+            "c": 1.0, "delta": "3/4", "trials": 2, "seed": 1}
+    for field, value in [("c", 100.0), ("c", float("nan")), ("c", float("inf")),
+                         ("trials", 2.9), ("N", [100.7]), ("seed", -1),
+                         ("seed", 1 << 64), ("combos", [[1.0, 1], [2, 0]])]:
+        config_path.write_text(json.dumps({**fast, field: value}))
+        code, out, err = _run(capsys, "experiment", "--config", str(config_path))
+        assert code == 2, (field, value)
+        assert f"configuration error: {field}: " in err
+        assert out == ""
+    config_path.write_text(json.dumps(fast))
+    code, out, err = _run(capsys, "experiment", "--config", str(config_path),
+                          "--seed", "-1")
+    assert code == 2
+    assert "configuration error: seed: " in err and out == ""
+
 
 def test_exit_code_2_on_unknown_flags():
     with pytest.raises(SystemExit) as exc:

@@ -24,7 +24,7 @@ from gensumset import (
     predicted_xk,
     rep_count,
 )
-from gensumset.density import missing_sums_asymptote_h2, quadrature_order
+from gensumset.density import missing_sums_asymptote_h2
 
 
 def test_limit_density_examples():
@@ -62,6 +62,13 @@ def test_b_constant_h2_closed_form():
         assert b_constant(2, k) == pytest.approx(2 / math.factorial(k + 1), abs=1e-12)
 
 
+def test_b_constant_is_the_correctly_rounded_rational():
+    for k in range(1, 31):
+        assert b_constant(2, k) == float(Fraction(2, math.factorial(k + 1)))
+    assert b_constant(3, 2) == 11 / 40
+    assert b_constant(4, 2) == float(Fraction(151, 630))
+
+
 def test_b_constant_normalization():
     for h in range(2, 7):
         assert b_constant(h, 1) == pytest.approx(1.0, abs=1e-12)
@@ -79,11 +86,6 @@ def test_phase_constants_table():
     assert table.b[0] == pytest.approx(1.0, abs=1e-10)
     assert all(b > 0 for b in table.b)
     assert all(a > b for a, b in zip(table.b, table.b[1:]))
-    assert table.quadrature_nodes == tuple(
-        quadrature_order(4, k) for k in range(1, 7)
-    )
-    assert quadrature_order(2, 1) == 1
-    assert quadrature_order(4, 3) == 5  # degree 9 needs 5 nodes
 
 
 def test_finiteN_oracle_converges():

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,27 +16,11 @@ from gensumset.experiments import (
 from gensumset.sampling import SampleParameters
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 
 def _assert_golden(report, name):
-    """Compare a report with its golden file, written by the pre-pipeline runners.
-
-    b_constant takes its Gauss-Legendre nodes from numpy, so fields derived
-    from it can move in the last bit with the numpy version: the golden
-    files hold null there, and the tests check those fields against direct
-    density calls instead.
-    """
-    text = report.to_json()
-    if report.kind in ("critical-size", "b-convergence"):
-        data = report.to_jsonable()
-        for row in data["rows"]:
-            row.update(predicted=None, rel_err=None, passed=None)
-        if report.kind == "b-convergence":
-            data["extras"]["gaps"] = None
-            for check in data["checks"]:
-                check["value"] = None
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    assert text == (GOLDEN / f"{name}.json").read_text()
+    assert report.to_json() == (GOLDEN / f"{name}.json").read_text()
 
 
 def _assert_predicted(row, predicted, tolerance):
@@ -104,9 +89,34 @@ def test_config_errors_name_the_field():
         ("fraction_window", 0.0002),
         ("delta", "1/0"),
         ("combos", [[2]]),
+        # integers are taken as given, never truncated
+        ("trials", 2.9),
+        ("trials", True),
+        ("seed", 5.0),
+        ("k", 2.5),
+        ("bit_budget", 1e9),
+        ("N", [100.7]),
+        ("N", 100.7),
+        ("combos", [[2.0, 0], [1, 1]]),
+        ("combos", [[2, False]]),
     ]:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             config_from_jsonable({**base, field: value})
+    # seeds outside [0, 2**64) would alias other seeds in the Philox key
+    for seed in (-1, 1 << 64, (1 << 64) + 5):
+        with pytest.raises(ConfigError, match="^seed: "):
+            config_from_jsonable({**base, "seed": seed}).validate()
+    config_from_jsonable({**base, "seed": (1 << 64) - 1}).validate()
+    # a decaying p must lie in (0, 1] at every N, not just at the first
+    decay = {"kind": "fast-ratio", "combos": [[1, 1], [2, 0]], "N": [10**6, 10],
+             "trials": 1, "seed": 0, "c": 1.0, "delta": "3/4"}
+    for c in (100.0, 10.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^c: "):
+            config_from_jsonable({**decay, "c": c}).validate()
+    slow = {"kind": "slow-h2", "N": [20000], "trials": 1, "seed": 0, "c": 100.0,
+            "delta": "3/10"}
+    with pytest.raises(ConfigError, match="^c: "):
+        config_from_jsonable(slow).validate()
 
 
 def test_kind_validation():
@@ -333,3 +343,15 @@ def test_slow_h2_reports_a_run_where_every_set_is_empty():
     law = next(c for c in checks if c.name.startswith("missing-frequency-law"))
     assert law.passed is False and law.value == 0.0
     assert not any(entry["ok"] for entry in extras["missing_frequency"]["20000"])
+
+
+@pytest.mark.parametrize(
+    "stem", ["b_convergence_h2", "b_convergence_h4", "critical_h2", "critical_h3"]
+)
+def test_b_derived_battery_reports_regenerate(stem):
+    # Their predictions come from b_constant, whose exact rationals are
+    # rounded once, so the checked-in reports regenerate byte for byte.
+    data = json.loads((ROOT / "scripts" / "configs" / f"{stem}.json").read_text())
+    report = run_experiment(config_from_jsonable(data), workers=2)
+    assert report.to_json() == (ROOT / "results" / f"{stem}.json").read_text()
+    assert report.csv_text() == (ROOT / "results" / f"{stem}.csv").read_text()

@@ -69,10 +69,17 @@ def test_sampled_set_validation():
 
 
 def test_bitmask_matches_elements():
-    A = SampledSet.from_iterable([0, 3, 64, 65, 100], N=100)
-    mask = A.bitmask()
-    for a in range(101):
-        assert ((mask >> a) & 1) == (1 if a in {0, 3, 64, 65, 100} else 0)
+    # N + 1 takes every residue mod 8, and the element N sits in the last byte
+    for N in range(100, 108):
+        for members in ({0, 3, 64, 65, 100}, set(), {7, 8, 15}):
+            members = members | {N}
+            A = SampledSet.from_iterable(members, N=N)
+            mask = A.bitmask()
+            for a in range(N + 1):
+                assert ((mask >> a) & 1) == (1 if a in members else 0)
+            packed = A.packed_bits()
+            assert packed.dtype == np.uint8 and packed.size == (N + 8) // 8
+            assert int.from_bytes(packed.tobytes(), "little") == mask
 
 
 def test_mean_size_matches_binomial():
