@@ -21,10 +21,7 @@ from .combinat import (
     stars_and_bars,
 )
 from .density import (
-    PhaseConstants,
     Regime,
-    SeriesConvergenceError,
-    SeriesValue,
     b_constant,
     b_constant_finiteN_oracle,
     classify_regime,
@@ -34,7 +31,6 @@ from .density import (
     g_series,
     limit_density,
     missing_sum_probability_h2,
-    phase_constants,
     predicted_ratio,
     predicted_xk,
 )
@@ -64,14 +60,11 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "GenSumsetResult",
-    "PhaseConstants",
     "Regime",
     "ReportRow",
     "RepresentationCounts",
     "SampleParameters",
     "SampledSet",
-    "SeriesConvergenceError",
-    "SeriesValue",
     "SignedCombination",
     "TupleStatistics",
     "b_constant",
@@ -89,7 +82,6 @@ __all__ = [
     "limit_density",
     "missing_sum_probability_h2",
     "mstd_classify",
-    "phase_constants",
     "predicted_ratio",
     "predicted_xk",
     "rep_count",

@@ -5,7 +5,7 @@ prints a one-line provenance record (tool version, fully resolved
 configuration, seed) so any artifact can be regenerated byte-for-byte; the
 artifacts themselves go to --out files or to stdout.  Exit codes: 0 success,
 2 configuration error (the message names the offending field), 3 a budget
-or convergence refusal.
+refusal.
 
 Rationals on the command line are strings like "2/3"; floats are accepted
 only where exactness is not required.  Environment variables are never
@@ -25,7 +25,7 @@ from .combinat import (
     SignedCombination,
     rep_counts_all,
 )
-from .density import SeriesConvergenceError, b_constant, g_series
+from .density import b_constant, g_series
 from .experiments import ConfigError, config_to_jsonable, load_config, run_experiment
 from .sampling import SampledSet, SampleParameters, sample_set
 from .sumset import gen_sumset, tuple_statistics
@@ -95,11 +95,7 @@ def _cmd_constants(args) -> int:
         if combo.h != args.h:
             raise ConfigError(f"g-combo: {spec} has h={combo.h}, expected {args.h}")
         for c in args.g_c:
-            value = g_series(c, combo, k_max=max(args.kmax, 60))
-            g_entries.append(
-                {"c": c, "s": s, "d": d, "value": value.value,
-                 "terms_used": value.terms_used}
-            )
+            g_entries.append({"c": c, "s": s, "d": d, "value": g_series(c, combo)})
     doc = {"provenance": prov, "h": args.h, "K_max": args.kmax, "b": b, "g": g_entries}
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out, prov, None)
     return 0
@@ -243,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = sub.add_parser("constants", help="phase constants and series values",
+    p = sub.add_parser("constants", help="phase constants and the critical constant g",
                        formatter_class=fmt)
     p.add_argument("--h", type=int, required=True, help="total summand count (>= 2)")
     p.add_argument("--kmax", type=int, default=12, help="table depth")
     p.add_argument("--g-c", type=float, action="append", default=[],
-                   help="evaluate the series at this coefficient (repeatable)")
+                   help="evaluate g(c; s, d) at this coefficient (repeatable)")
     p.add_argument("--g-combo", action="append", default=[], metavar="S,D",
-                   help="combo for series evaluation, e.g. 2,1 (repeatable)")
+                   help="combo for g, e.g. 2,1 (repeatable)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the artifact to this file")
     p.set_defaults(func=_cmd_constants)
@@ -311,7 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetError, SeriesConvergenceError) as exc:
+    except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:

@@ -2,10 +2,10 @@
 
 Scaled by N**(h-1), the representation counts converge to the density of a
 sum of h independent uniform [0,1] variables (the Irwin-Hall density); the
-overlap moments of that density are the constants b_{h,k} driving the
-critical-decay series g(c; s, d).  The density is one table of integer
-polynomial pieces, so each b_{h,k} is an exact rational, rounded once to a
-float.  Also here: the exact missing-value laws for two-summand slow decay.
+overlap moments b_{h,k} of that density and the critical-decay constant
+g(c; s, d), the sum of a series in them, are integrals over one table of
+integer polynomial pieces, each computed past double precision and rounded
+once.  Also here: the exact missing-value laws for two-summand slow decay.
 
 Everything is a pure function; the constant tables are cached and safe for
 concurrent reads.
@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, takewhile
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +32,8 @@ SUM_DOMINATED_LIMIT_FRACTION = 4.5e-4
 # Slow-decay limit of (missing sums) / (missing differences) for two summands.
 COMPLEMENT_RATIO_LIMIT_H2 = 2.0
 
+_G_DIGITS = 34  # working digits of g_series
+
 
 def missing_sums_asymptote_h2(p: float) -> float:
     """Leading-order missing-sum count 4/p^2 in the two-summand slow regime."""
@@ -41,29 +42,11 @@ def missing_sums_asymptote_h2(p: float) -> float:
     return 4.0 / (p * p)
 
 
-class SeriesConvergenceError(RuntimeError):
-    """The alternating series did not meet its tolerance within the term cap."""
-
-
-class SeriesValue(NamedTuple):
-    value: float
-    terms_used: int
-
-
 class Regime(Enum):
     FAST = "fast"
     CRITICAL = "critical"
     SLOW_H2 = "slow-h2"
     SLOW = "slow"
-
-
-@dataclass(frozen=True)
-class PhaseConstants:
-    """Table of the overlap-moment constants for one h: b[k-1] is b(h, k)."""
-
-    h: int
-    k_max: int
-    b: tuple[float, ...]
 
 
 def _times(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -140,17 +123,6 @@ def b_constant(h: int, k: int) -> float:
     return _b_table(h, 1 << (k - 1).bit_length())[k - 1]
 
 
-def phase_constants(h: int, k_max: int) -> PhaseConstants:
-    """Tabulate b(h, k) for k = 1..k_max."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be positive, got {k_max}")
-    return PhaseConstants(
-        h=h,
-        k_max=k_max,
-        b=tuple(b_constant(h, k) for k in range(1, k_max + 1)),
-    )
-
-
 def _falling_binom(x: float, k: int) -> float:
     """x(x-1)...(x-k+1)/k! for real x."""
     out = 1.0
@@ -179,37 +151,70 @@ def b_constant_finiteN_oracle(
     return total * perm**k / N ** ((h - 1) * k + 1)
 
 
-def g_series(
-    c: float, combo: SignedCombination, k_max: int = 60, tol: float = 1e-14
-) -> SeriesValue:
-    """Critical-decay cardinality constant: alternating series in b(h, k).
+@lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[tuple[Decimal, Decimal], ...]:
+    """n Gauss-Legendre nodes and weights on [0, 1] (n even), in Decimal.
 
-    Sums (-1)^(k-1) b(h,k) (c^h / (s!d!))^k until two consecutive terms drop
-    below tol times the running partial sum; raises if k_max terms are not
-    enough.  The returned value is the exactly-rounded sum of the evaluated
-    terms, which matters: mid-series terms can exceed the limit by orders of
-    magnitude when c is large.
+    Newton's method on the Legendre recurrence from cosine estimates, with
+    guard digits, since the weights near the ends divide by 1 - x^2.
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    y = c**combo.h / combo.block_permutations
-    terms: list[float] = []
-    partial = 0.0
-    previous_small = False
-    for k in range(1, k_max + 1):
-        t = b_constant(combo.h, k) * y**k
-        if k % 2 == 0:
-            t = -t
-        terms.append(t)
-        partial += t
-        small = abs(t) <= tol * abs(partial)
-        if small and previous_small:
-            return SeriesValue(math.fsum(terms), k)
-        previous_small = small
-    raise SeriesConvergenceError(
-        f"series for c={c}, combo={combo} did not reach tol={tol} "
-        f"within k_max={k_max} terms"
-    )
+    with localcontext(Context(prec=_G_DIGITS + 6)):
+        rule = []
+        for i in range(n // 2):
+            x, step = Decimal(math.cos(math.pi * (i + 0.75) / (n + 0.5))), 1
+            while abs(step) > Decimal(10) ** -(_G_DIGITS + 2):
+                p0, p1 = 1, x
+                for m in range(2, n + 1):
+                    p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+                slope = n * (x * p1 - p0) / (x * x - 1)
+                step = p1 / slope
+                x -= step
+            weight = 1 / ((1 - x * x) * slope * slope)  # half the weight on [-1, 1]
+            rule += [((1 - x) / 2, weight), ((1 + x) / 2, weight)]
+    return tuple(rule)
+
+
+def g_series(c: float, combo: SignedCombination) -> float:
+    """Critical-decay cardinality constant g(c; s, d), rounded once.
+
+    The series sum_k (-1)^(k-1) b(h,k) y^k, y = c^h/(s!d!), sums to the
+    integral over [0, h] of 1 - exp(-y f(u)), f the Irwin-Hall density.  It
+    is taken over the density's pieces, on [0, h/2] by symmetry, in Decimal,
+    by Gauss-Legendre rules of 16, 32, ... nodes until two agree to 1e-22.
+    For large c the exponent rises steeply near u = 0, so [0, 1] is halved
+    towards 0 until the exponent at the cut is at most 1.
+    """
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be positive and finite, got {c}")
+    h = combo.h
+    with localcontext(Context(prec=_G_DIGITS)):
+        a = Decimal(c) ** h / (combo.block_permutations * math.factorial(h - 1))
+        cuts = [Decimal(1)]
+        while a * cuts[-1] ** (h - 1) > 1:
+            cuts.append(cuts[-1] / 2)
+        # (piece j, start, width) in t = u - j of each interval of [0, h/2]
+        parts = [(0, lo, hi - lo) for lo, hi in zip(cuts[1:] + [0], cuts)]
+        parts += [(j, 0, Decimal(min(1, h / 2 - j))) for j in range(1, (h + 1) // 2)]
+
+        def estimate(n):
+            total = Decimal(0)
+            for j, lo, width in parts:
+                for t, weight in _gauss_legendre(n):
+                    t, x = lo + width * t, 0
+                    for coefficient in reversed(_pieces(h)[j]):  # Horner
+                        x = x * t + coefficient
+                    x *= a
+                    with localcontext() as ctx:
+                        ctx.prec += max(0, -x.adjusted())  # 1 - exp(-x) cancels for small x
+                        rise = 1 - (-x).exp()
+                    total += width * weight * rise
+            return 2 * total
+
+        n, previous, current = 32, estimate(16), estimate(32)
+        while abs(current - previous) > Decimal("1e-22") * current:
+            n *= 2
+            previous, current = current, estimate(n)
+        return float(current)
 
 
 def g_closed_form_h2(x: float) -> float:
@@ -286,7 +291,7 @@ def predicted_ratio(
     if regime is Regime.CRITICAL:
         if c is None:
             raise ValueError("critical-regime ratio needs the coefficient c")
-        return g_series(c, combo1).value / g_series(c, combo2).value
+        return g_series(c, combo1) / g_series(c, combo2)
     raise ValueError(f"no general ratio prediction in regime {regime.value}")
 
 

@@ -64,7 +64,7 @@ class ExperimentConfig:
     bit_budget: int = DEFAULT_BIT_BUDGET
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "Ns", tuple(int(n) for n in self.Ns))
+        object.__setattr__(self, "Ns", tuple(self.Ns))
         object.__setattr__(self, "combos", tuple(self.combos))
         if self.delta is not None:
             if isinstance(self.delta, float):
@@ -78,6 +78,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
+        for name, values in (("N", self.Ns), ("trials", [self.trials]), ("seed", [self.seed]),
+                             ("k", [self.k]), ("bit_budget", [self.bit_budget])):
+            bad = [value for value in values if type(value) is not int]
+            if bad:  # a float or a bool is refused, never truncated
+                raise ConfigError(f"{name}: expected an integer, got {bad[0]!r}")
         if not self.Ns or any(n < 1 for n in self.Ns):
             raise ConfigError("N: need at least one positive ground-set size")
         if self.trials < 1:
@@ -439,7 +444,7 @@ def _fast_ratio(config, records):
 
 
 def _critical_size(config, records):
-    predicted = {c: density.g_series(config.c, c).value for c in config.combos}
+    predicted = {c: density.g_series(config.c, c) for c in config.combos}
     rows = []
     dominance = {}
     for N in config.Ns:

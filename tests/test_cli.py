@@ -51,8 +51,19 @@ def test_constants_json(capsys, tmp_path):
     assert len(doc["b"]) == 8
     entry = doc["g"][0]
     assert (entry["s"], entry["d"], entry["c"]) == (2, 1, 2.0)
-    assert entry["terms_used"] > 1
+    assert entry["value"] == 1.7308908442055353
     assert doc["provenance"]["version"]
+
+
+def test_constants_g_at_large_c(capsys):
+    # large c, where summing the alternating series in floats goes wrong
+    for h, c, combo, value in [("5", "4", "3,2", 3.679840292904035),
+                               ("3", "6", "2,1", 2.7587995818139106),
+                               ("2", "4", "1,1", 1.8750000140668968)]:
+        code, out, _ = _run(capsys, "constants", "--h", h, "--kmax", "200",
+                            "--g-c", c, "--g-combo", combo)
+        assert code == 0
+        assert json.loads(out)["g"][0]["value"] == value
 
 
 def test_constants_csv(capsys):
@@ -189,6 +200,11 @@ def test_exit_code_2_on_config_errors(capsys, tmp_path):
     code, out, err = _run(capsys, "sample", "--N", "4", "--p", "0.5", "--seed", "-1")
     assert code == 2
     assert "seed" in err and out == ""
+
+    for c in ("0", "nan", "inf"):
+        code, _, err = _run(capsys, "constants", "--h", "2", "--g-c", c, "--g-combo", "1,1")
+        assert code == 2
+        assert "c must be positive and finite" in err
 
     # each bad field exits 2, naming it, before the provenance line is printed
     fast = {"kind": "fast-ratio", "combos": [[1, 1], [2, 0]], "N": [200, 4000],

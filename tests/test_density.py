@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import expected_missing_diffs_by_subsets, missing_sum_probs_by_subsets
 from gensumset import (
     Regime,
-    SeriesConvergenceError,
     SignedCombination,
     b_constant,
     b_constant_finiteN_oracle,
@@ -19,12 +19,11 @@ from gensumset import (
     g_series,
     limit_density,
     missing_sum_probability_h2,
-    phase_constants,
     predicted_ratio,
     predicted_xk,
     rep_count,
 )
-from gensumset.density import missing_sums_asymptote_h2
+from gensumset.density import _pieces, _times, missing_sums_asymptote_h2
 
 
 def test_limit_density_examples():
@@ -82,10 +81,10 @@ def test_b_constant_h3_exact_values():
 
 
 def test_phase_constants_table():
-    table = phase_constants(4, 6)
-    assert table.b[0] == pytest.approx(1.0, abs=1e-10)
-    assert all(b > 0 for b in table.b)
-    assert all(a > b for a, b in zip(table.b, table.b[1:]))
+    table = [b_constant(4, k) for k in range(1, 7)]
+    assert table[0] == pytest.approx(1.0, abs=1e-10)
+    assert all(b > 0 for b in table)
+    assert all(a > b for a, b in zip(table, table[1:]))
 
 
 def test_finiteN_oracle_converges():
@@ -115,22 +114,64 @@ def test_g_series_vs_closed_form():
     one_one = SignedCombination(1, 1)
     two_zero = SignedCombination(2, 0)
     for c in (0.25, 0.5, 1.0, 2.0, 4.0):
-        got = g_series(c, one_one, k_max=100)
-        assert abs(got.value - g_closed_form_h2(c * c)) <= 1e-8
-        got = g_series(c, two_zero, k_max=100)
-        assert abs(got.value - g_closed_form_h2(c * c / 2)) <= 1e-8
+        got = g_series(c, one_one)
+        assert abs(got - g_closed_form_h2(c * c)) <= 1e-8
+        got = g_series(c, two_zero)
+        assert abs(got - g_closed_form_h2(c * c / 2)) <= 1e-8
+    # the closed form itself is good to about 1e-15 relative
+    for i in range(80):
+        c = 0.25 + i * 0.25
+        for combo, x in ((one_one, c * c), (two_zero, c * c / 2)):
+            assert g_series(c, combo) == pytest.approx(g_closed_form_h2(x), rel=2e-15)
 
 
-def test_g_series_nonconvergence_is_reported():
-    with pytest.raises(SeriesConvergenceError):
-        g_series(4.0, SignedCombination(1, 1))  # default k_max=60 is not enough
+def test_g_series_large_c_evaluates():
+    # from c = 4 on, the alternating series' terms grow past 10^4 before
+    # they cancel, more than double precision can sum
+    for s, d in ((1, 1), (2, 0), (2, 1), (3, 0), (2, 2), (3, 1)):
+        combo = SignedCombination(s, d)
+        values = [g_series(c, combo) for c in (4.0, 6.0, 20.0)]
+        assert 0.0 < values[0] < values[1] < values[2] < combo.h, (s, d, values)
+
+
+@lru_cache(maxsize=None)
+def _b_exact(h, terms):
+    # b(h, k) for k = 1..terms as exact rationals: (1/k!) * integral of f^k
+    # over the density's integer pieces, before any rounding.
+    powers, table = [(1,)] * h, []
+    for k in range(1, terms + 1):
+        powers = list(map(_times, powers, _pieces(h)))
+        integral = sum(Fraction(a, m + 1) for m, a in enumerate(map(sum, zip(*powers))))
+        table.append(integral / (math.factorial(h - 1) ** k * math.factorial(k)))
+    return tuple(table)
+
+
+def test_g_series_is_the_correctly_rounded_series():
+    # Oracle: the alternating series summed exactly in rationals at the exact
+    # y of the float c.  For c <= 3 and h <= 5 the terms past k = 130 are
+    # below 1e-80, far under half an ulp of g.
+    for s, d in ((1, 1), (2, 0), (2, 1), (3, 0), (2, 2), (3, 1), (4, 0), (3, 2)):
+        combo = SignedCombination(s, d)
+        for c in (0.001, 0.5, 2.0, 3.0):
+            y = Fraction(c) ** combo.h / combo.block_permutations
+            total, power = Fraction(0), Fraction(1)
+            for k, b in enumerate(_b_exact(combo.h, 130), start=1):
+                power *= y
+                total += b * power if k % 2 else -b * power
+            assert g_series(c, combo) == float(total), (s, d, c)
+
+
+def test_g_series_refuses_bad_c():
+    for c in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            g_series(c, SignedCombination(1, 1))
 
 
 def test_g_series_leading_term():
     for combo in (SignedCombination(1, 1), SignedCombination(2, 1)):
         c = 1e-3
         lead = c**combo.h / combo.block_permutations
-        assert g_series(c, combo).value == pytest.approx(lead, rel=1e-3)
+        assert g_series(c, combo) == pytest.approx(lead, rel=1e-3)
 
 
 def _g_by_quadrature(c, combo, nodes=60):
@@ -152,7 +193,7 @@ def test_g_series_vs_exponential_integral():
                   SignedCombination(2, 1), SignedCombination(3, 0),
                   SignedCombination(2, 2)):
         for c in (0.5, 1.0, 2.0):
-            series = g_series(c, combo, k_max=120).value
+            series = g_series(c, combo)
             assert series == pytest.approx(_g_by_quadrature(c, combo), abs=1e-9)
 
 
@@ -160,18 +201,25 @@ def test_g_series_monotonicity():
     grid = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
     for combo in (SignedCombination(1, 1), SignedCombination(2, 1),
                   SignedCombination(3, 0)):
-        values = [g_series(c, combo, k_max=100).value for c in grid]
+        values = [g_series(c, combo) for c in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
     # fewer block permutations means a larger set at the same c and h
     for c in grid:
         assert (
-            g_series(c, SignedCombination(1, 1), k_max=100).value
-            > g_series(c, SignedCombination(2, 0), k_max=100).value
+            g_series(c, SignedCombination(1, 1))
+            > g_series(c, SignedCombination(2, 0))
         )
         assert (
-            g_series(c, SignedCombination(2, 1), k_max=100).value
-            > g_series(c, SignedCombination(3, 0), k_max=100).value
+            g_series(c, SignedCombination(2, 1))
+            > g_series(c, SignedCombination(3, 0))
         )
+    # increasing and below h also where the series' terms cancel heavily
+    wide = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 15.0, 20.0]
+    for combo in (SignedCombination(2, 1), SignedCombination(3, 2),
+                  SignedCombination(5, 0)):
+        values = [g_series(c, combo) for c in wide]
+        assert all(b > a for a, b in zip(values, values[1:])), combo
+        assert values[-1] < combo.h
 
 
 def test_g_closed_form_values():

@@ -102,6 +102,14 @@ def test_config_errors_name_the_field():
     ]:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             config_from_jsonable({**base, field: value})
+    # a config built in code is held to the same integer rule at validate()
+    for field, value in [("Ns", (100.7,)), ("Ns", (100, True)), ("trials", 2.9),
+                         ("seed", True), ("k", 2.0), ("bit_budget", 1e9)]:
+        config = ExperimentConfig(**{"kind": "mstd", "Ns": (100,), "trials": 2,
+                                     "seed": 1, "p": 0.5, field: value})
+        name = "N" if field == "Ns" else field
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            config.validate()
     # seeds outside [0, 2**64) would alias other seeds in the Philox key
     for seed in (-1, 1 << 64, (1 << 64) + 5):
         with pytest.raises(ConfigError, match="^seed: "):
@@ -255,7 +263,24 @@ def test_critical_size_small_run():
     assert dominance >= 0.9
     _assert_golden(report, "critical_size")
     for row, combo in zip(report.rows, config.combos):
-        _assert_predicted(row, density.g_series(1.0, combo).value, 0.15)
+        _assert_predicted(row, density.g_series(1.0, combo), 0.15)
+
+
+def test_critical_size_large_c():
+    # at c = 5 the series' terms reach 10^8 before they cancel
+    config = ExperimentConfig(
+        kind="critical-size",
+        combos=(SignedCombination(1, 1), SignedCombination(2, 0)),
+        Ns=(20000,),
+        trials=4,
+        seed=5,
+        c=5.0,
+        delta=Fraction(1, 2),
+    )
+    report = run_experiment(config, workers=1)
+    for row, x in zip(report.rows, (25.0, 12.5)):
+        assert row.predicted == pytest.approx(density.g_closed_form_h2(x), rel=2e-15)
+        assert row.rel_err < 0.05
 
 
 def test_concentration_decreasing_cv():
