@@ -14,6 +14,7 @@ concurrent reads.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left
 from decimal import Context, Decimal, localcontext
 from enum import Enum
@@ -95,17 +96,10 @@ def limit_density(u: float, h: int) -> float:
     return value / math.factorial(h - 1)
 
 
-@lru_cache(maxsize=256)
-def _b_table(h: int, size: int) -> tuple[float, ...]:
-    """b(h, k) for k = 1..size, raising every piece to the power k in turn."""
-    powers = [(1,)] * h
-    table = []
-    for k in range(1, size + 1):
-        powers = list(map(_times, powers, _pieces(h)))
-        # The integral over [0, 1] of sum_m a_m t^m is sum_m a_m / (m+1).
-        integral = sum(Fraction(a, m + 1) for m, a in enumerate(map(sum, zip(*powers))))
-        table.append(float(integral / (math.factorial(h - 1) ** k * math.factorial(k))))
-    return tuple(table)
+# Per h: the k-th powers of the pieces and [b(h, 1), ..., b(h, k)], extended
+# in place as larger k are asked for, under the lock.
+_B_TABLES: dict[int, tuple[list[tuple[int, ...]], list[float]]] = {}
+_B_LOCK = threading.Lock()
 
 
 def b_constant(h: int, k: int) -> float:
@@ -119,8 +113,15 @@ def b_constant(h: int, k: int) -> float:
         raise ValueError(f"h must be at least 2, got {h}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    # Tables come in power-of-two sizes, so a growing k rebuilds few of them.
-    return _b_table(h, 1 << (k - 1).bit_length())[k - 1]
+    with _B_LOCK:
+        powers, table = _B_TABLES.setdefault(h, ([(1,)] * h, []))
+        while len(table) < k:
+            powers[:] = map(_times, powers, _pieces(h))
+            j = len(table) + 1
+            # The integral over [0, 1] of sum_m a_m t^m is sum_m a_m / (m+1).
+            integral = sum(Fraction(a, m + 1) for m, a in enumerate(map(sum, zip(*powers))))
+            table.append(float(integral / (math.factorial(h - 1) ** j * math.factorial(j))))
+        return table[k - 1]
 
 
 def _falling_binom(x: float, k: int) -> float:

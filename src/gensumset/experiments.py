@@ -2,12 +2,15 @@
 
 Every experiment is a pure function of (config, seed).  All kinds but
 b-convergence, which has no trials, run one pipeline: trial t samples A from
-sub-stream (seed, t), computes the kind's generalized sumsets one at a time
-and returns one integer record, (|A|, |A_combo| per combo, bitmask of probe
-values missing from the first sumset).  An ordered map yields the records
-in trial order, and each kind turns one N's records into rows, checks and
-extras.  Records are per trial, so neither the chunking nor the worker count
-can change a report.  mstd folds exact integer moments as records arrive;
+sub-stream (seed, t), computes the kind's generalized sumsets and returns
+one integer record, (|A|, |A_combo| per combo, bitmask of probe values
+missing from the first sumset).  Up to sumset.BIT_SLICE_MAX_N the trials of
+a chunk are sampled and folded in batches (sample_members, batch_records);
+above it, trial by trial (sample_set, gen_sumset).  The records are the
+same either way.  An ordered map yields the records in trial order, and
+each kind turns one N's records into rows, checks and extras.  Records are
+per trial, so neither the chunking nor the worker count can change a
+report.  mstd folds exact integer moments as records arrive;
 every other statistic is summarized by compensated two-pass summation.
 
 Predicted values come from direct density calls; tolerances live in the
@@ -20,15 +23,15 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 
 from . import density
 from ._version import VERSION
 from .combinat import BudgetError, SignedCombination
-from .sampling import SampleParameters, effective_p, sample_set
-from .sumset import DEFAULT_BIT_BUDGET, gen_sumset
+from .sampling import SampleParameters, effective_p, sample_members, sample_set
+from .sumset import BIT_SLICE_MAX_N, DEFAULT_BIT_BUDGET, batch_records, gen_sumset
 
 _DEFAULT_TOLERANCE = {
     "fast-ratio": 0.10,
@@ -384,19 +387,34 @@ def _row(config, combo, N, stats, excluded, statistic, predicted, trials=None):
 # chunk size never reaches a report.
 _CHUNK_DRAWS = 1 << 19
 _CHUNK_TRIALS = 4096
+# Up to BIT_SLICE_MAX_N a chunk runs in batches of whole 64-set words, sized
+# so that a batch's largest temporaries, the membership matrix and one
+# sumset unpacked to a byte per set and value, stay near _BATCH_BYTES.
+_BATCH_BYTES = 1 << 16
 
 
 def _trial_records(config, N, combos, probes, trials: range) -> list[tuple[int, ...]]:
     """One record per trial: (|A|, |A_combo| for each combo, missing-probe mask).
 
     Bit j of the bitmask is set when probes[j] is missing from the first
-    combo's sumset.  Each sumset is reduced to integers and released before
-    the next is computed, so one membership vector is alive at a time.
+    combo's sumset.  Up to BIT_SLICE_MAX_N, batches of trials are sampled
+    and folded together by sample_members and batch_records.  Above it,
+    each trial calls sample_set and gen_sumset, and each sumset is reduced
+    to integers and released before the next is computed, so one membership
+    vector is alive at a time.
     """
+    params = SampleParameters(N=N, seed=config.seed, c=config.c, delta=config.delta,
+                              p=config.p)
     records = []
+    if N <= BIT_SLICE_MAX_N:
+        span = max(combo.h for combo in combos) * N + 1
+        size = 64 * max(1, _BATCH_BYTES // (64 * span))
+        for lo in range(trials.start, trials.stop, size):
+            batch = range(lo, min(lo + size, trials.stop))
+            records += batch_records(sample_members(params, batch), combos, probes)
+        return records
     for t in trials:
-        A = sample_set(SampleParameters(N=N, seed=config.seed, trial_index=t,
-                                        c=config.c, delta=config.delta, p=config.p))
+        A = sample_set(replace(params, trial_index=t))
         record = [A.size]
         missing = 0
         for i, combo in enumerate(combos):
@@ -420,7 +438,9 @@ def _records(config, workers, N, combos, probes=()):
         for chunk in chunks:
             yield from measure(chunk)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # A pool forks all of its workers up front, so it gets no more than
+    # there are chunks.
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         for records in pool.map(measure, chunks):
             yield from records
 

@@ -5,6 +5,12 @@ keyed by the pair (seed, trial_index), so trial t is the same bit stream no
 matter which worker runs it, in which order, on which platform.  Membership
 is decided by comparing N+1 uniform doubles, drawn in fixed-size chunks,
 against the inclusion probability p = c * N**(-delta) (or a fixed p).
+
+`sample_set` builds one trial's set.  `sample_members` builds the membership
+rows of a batch of trials for the batched small-N path: it re-keys one
+Philox to (seed, t) through its state setter instead of constructing a
+generator per trial (a tenth of the cost), so each row is exactly the set
+`sample_set` gives for that trial.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 SAMPLE_CHUNK = 1 << 16
+MEMBER_CHUNK = 1 << 13  # doubles that sample_members draws before comparing
 
 
 @dataclass(frozen=True)
@@ -159,3 +166,32 @@ def sample_set(params: SampleParameters) -> SampledSet:
             for lo in range(0, size, SAMPLE_CHUNK)
         ])
     return SampledSet(N=params.N, elements=elements.astype(np.int64))
+
+
+def sample_members(params: SampleParameters, trials: range) -> np.ndarray:
+    """Membership matrix of a batch of trials: a bool array (len(trials), N+1).
+
+    Row i is the indicator over 0..N of the set that sample_set gives for
+    trial trials[i] (params.trial_index is ignored).  One Philox is re-keyed
+    to (seed, t) for each trial through its state setter, which puts it in
+    the state Philox(key=(seed, t)) starts in, and draws the trial's N+1
+    uniforms in one call (the same stream that sample_set draws in chunks).
+    They are compared against p a few rows at a time, so at most
+    MEMBER_CHUNK doubles, or one row, are alive.
+    """
+    p = effective_p(params)
+    size = params.N + 1
+    bitgen = np.random.Philox(key=np.array([params.seed & _MASK64, 0], dtype=np.uint64))
+    state = bitgen.state
+    key = state["state"]["key"]
+    gen = np.random.Generator(bitgen)
+    members = np.empty((len(trials), size), dtype=bool)
+    draws = np.empty((max(1, min(len(trials), MEMBER_CHUNK // size)), size))
+    for lo in range(0, len(trials), len(draws)):
+        rows = draws[: len(trials) - lo]
+        for row, t in zip(rows, trials[lo:]):
+            key[1] = t & _MASK64
+            bitgen.state = state
+            gen.random(out=row)
+        np.less(rows, p, out=members[lo : lo + len(rows)])
+    return members

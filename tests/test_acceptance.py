@@ -14,6 +14,7 @@ than loosened.
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import missing_sum_probs_by_subsets
 
@@ -38,6 +39,7 @@ from gensumset.density import missing_sums_asymptote_h2
 from gensumset.experiments import ExperimentConfig, run_experiment
 
 WORKERS = 2
+RESULTS = Path(__file__).parent.parent / "results"
 
 
 def _gate(tag: str, ok: bool, detail: str, started: float, limit_s: float):
@@ -291,8 +293,13 @@ def test_criterion_09_exact_missing_law_and_mstd():
     law_ok = worst_gap <= 1e-12
     limit_ok = abs(expected_missing_sums_h2(5000, 0.5) - 10.0) <= 0.01
 
+    # The config of scripts/configs/mstd.json, so the report is the battery's.
     config = ExperimentConfig(kind="mstd", Ns=(100,), trials=10**6, seed=31415, p=0.5)
     report = run_experiment(config, workers=WORKERS)
+    battery_ok = (
+        report.to_json() == (RESULTS / "mstd.json").read_text()
+        and report.csv_text() == (RESULTS / "mstd.csv").read_text()
+    )
     sums_row = next(r for r in report.rows if (r.s, r.d) == (2, 0))
     diffs_row = next(r for r in report.rows if (r.s, r.d) == (1, 1))
     fraction_check = report.checks[0]
@@ -303,11 +310,12 @@ def test_criterion_09_exact_missing_law_and_mstd():
     )
     _gate(
         "09 exact-missing-law-and-mstd",
-        law_ok and limit_ok and mstd_ok,
+        law_ok and limit_ok and mstd_ok and battery_ok,
         f"per-value law vs subset enumeration N<=12 (worst {worst_gap:.1e}); "
         f"limit 10+-0.01; Monte Carlo means sums={sums_row.mean:.3f} "
         f"diffs={diffs_row.mean:.3f}; sum-dominated fraction "
-        f"{fraction_check.value:.2e} in [2e-4, 9e-4]",
+        f"{fraction_check.value:.2e} in [2e-4, 9e-4]; report equal to "
+        f"results/mstd.{{json,csv}}: {battery_ok}",
         t0,
         1800,
     )

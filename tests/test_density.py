@@ -23,6 +23,7 @@ from gensumset import (
     predicted_xk,
     rep_count,
 )
+from gensumset import density
 from gensumset.density import _pieces, _times, missing_sums_asymptote_h2
 
 
@@ -66,6 +67,33 @@ def test_b_constant_is_the_correctly_rounded_rational():
         assert b_constant(2, k) == float(Fraction(2, math.factorial(k + 1)))
     assert b_constant(3, 2) == 11 / 40
     assert b_constant(4, 2) == float(Fraction(151, 630))
+
+
+def test_b_table_is_built_once_per_h(monkeypatch):
+    # b(h, 1..k) costs k products of the pieces, however k grows, and each
+    # value is the exact rational for its own k rounded once, whatever was
+    # asked for before it.
+    products = []
+
+    def counted(p, q):
+        products.append(1)
+        return _times(p, q)
+
+    monkeypatch.setattr(density, "_B_TABLES", {})
+    monkeypatch.setattr(density, "_times", counted)
+    for k in range(1, 41):
+        b_constant(4, k)
+    assert len(products) == 4 * 40
+    b_constant(4, 25)
+    assert len(products) == 4 * 40
+    monkeypatch.undo()
+    for h, k in [(2, 9), (3, 17), (4, 40), (6, 12)]:
+        power = [(1,)] * h
+        for _ in range(k):
+            power = list(map(_times, power, _pieces(h)))
+        exact = sum(Fraction(a, m + 1) for m, a in enumerate(map(sum, zip(*power))))
+        assert b_constant(h, k) == float(
+            exact / (math.factorial(h - 1) ** k * math.factorial(k)))
 
 
 def test_b_constant_normalization():

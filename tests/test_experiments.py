@@ -175,10 +175,11 @@ def test_kind_validation():
 
 
 def test_budget_refused_before_sampling(monkeypatch):
-    def no_sampling(params):
+    def no_sampling(*args):
         raise AssertionError("sampled a set for an over-budget config")
 
     monkeypatch.setattr(experiments, "sample_set", no_sampling)
+    monkeypatch.setattr(experiments, "sample_members", no_sampling)
     # the budget admits the first N, not the second: nothing may be sampled
     config = _fast_config(Ns=(1000, 600_000), bit_budget=10**6)
     with pytest.raises(BudgetError, match="N: 600000"):
@@ -283,17 +284,20 @@ def test_critical_size_large_c():
         assert row.rel_err < 0.05
 
 
+_CONCENTRATION = ExperimentConfig(
+    kind="concentration",
+    combos=(SignedCombination(1, 1),),
+    Ns=(500, 5000, 50000),
+    trials=60,
+    seed=21,
+    c=1.0,
+    delta=Fraction(1, 2),
+)
+_MSTD = ExperimentConfig(kind="mstd", Ns=(60,), trials=4000, seed=9, p=0.5)
+
+
 def test_concentration_decreasing_cv():
-    config = ExperimentConfig(
-        kind="concentration",
-        combos=(SignedCombination(1, 1),),
-        Ns=(500, 5000, 50000),
-        trials=60,
-        seed=21,
-        c=1.0,
-        delta=Fraction(1, 2),
-    )
-    report = run_experiment(config, workers=2)
+    report = run_experiment(_CONCENTRATION, workers=2)
     cvs = report.extras["cv_by_N"]
     assert all(b < a for a, b in zip(cvs, cvs[1:]))
     assert report.all_pass
@@ -324,8 +328,7 @@ def test_b_convergence_run():
 
 
 def test_mstd_small_run():
-    config = ExperimentConfig(kind="mstd", Ns=(60,), trials=4000, seed=9, p=0.5)
-    report = run_experiment(config, workers=2)
+    report = run_experiment(_MSTD, workers=2)
     sums_row = next(r for r in report.rows if (r.s, r.d) == (2, 0))
     diffs_row = next(r for r in report.rows if (r.s, r.d) == (1, 1))
     # exact finite-N expectations, generous Monte Carlo tolerance
@@ -335,7 +338,7 @@ def test_mstd_small_run():
     assert counts["sum_dominated"] + counts["balanced"] + counts[
         "difference_dominated"
     ] == 4000
-    same = run_experiment(config, workers=1)
+    same = run_experiment(_MSTD, workers=1)
     assert same.to_json() == report.to_json()
     _assert_golden(report, "mstd")
 
@@ -380,3 +383,62 @@ def test_b_derived_battery_reports_regenerate(stem):
     report = run_experiment(config_from_jsonable(data), workers=2)
     assert report.to_json() == (ROOT / "results" / f"{stem}.json").read_text()
     assert report.csv_text() == (ROOT / "results" / f"{stem}.csv").read_text()
+
+
+@pytest.mark.parametrize("chunk_trials", [1, 63, 64, 65])
+def test_chunk_size_never_reaches_a_report(chunk_trials, monkeypatch):
+    monkeypatch.setattr(experiments, "_CHUNK_TRIALS", chunk_trials)
+    _assert_golden(run_experiment(_MSTD), "mstd")
+    _assert_golden(run_experiment(_CONCENTRATION), "concentration")
+
+
+def test_batched_and_per_trial_paths_give_the_same_records(monkeypatch):
+    # Up to BIT_SLICE_MAX_N a chunk is sampled and folded in batches; above
+    # it, trial by trial.  Both give the same records, probe masks included.
+    N = experiments.BIT_SLICE_MAX_N
+    config = ExperimentConfig(kind="slow-h2", Ns=(N,), trials=135, seed=3, c=1.0,
+                              delta=Fraction(1, 10))
+    probes = tuple(range(10)) + tuple(range(2 * N - 9, 2 * N + 1))
+
+    def records():
+        return experiments._trial_records(config, N, experiments._SUM_DIFF, probes,
+                                          range(5, 135))
+
+    def other_path(*args):
+        raise AssertionError("took the other path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "sample_set", other_path)
+        batched = records()
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "BIT_SLICE_MAX_N", N - 1)
+        patch.setattr(experiments, "sample_members", other_path)
+        per_trial = records()
+    assert batched == per_trial
+    assert any(record[-1] for record in batched)  # some probe was missing
+
+
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    opened = []
+
+    class Pool:
+        # Records its size and runs the chunks in this process.
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(experiments, "_CHUNK_TRIALS", 1500)
+    for workers, size in [(64, 3), (10**6, 3), (2, 2)]:
+        _assert_golden(run_experiment(_MSTD, workers=workers), "mstd")
+        assert opened.pop() == size
+    _assert_golden(run_experiment(_MSTD, workers=1), "mstd")  # no pool at all
+    assert opened == []

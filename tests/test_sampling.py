@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gensumset import SampledSet, SampleParameters, effective_p, sample_set
-from gensumset.sampling import SAMPLE_CHUNK, substream
+from gensumset.sampling import MEMBER_CHUNK, SAMPLE_CHUNK, sample_members, substream
 
 
 def _params(N, seed=401, trial=0, **kw):
@@ -147,3 +147,21 @@ def test_chunked_draws_equal_one_draw(size):
         A = sample_set(_params(size - 1, seed=11, trial=t, p=0.01))
         one_draw = np.flatnonzero(substream(11, t).random(size) < 0.01)
         assert np.array_equal(A.elements, one_draw)
+
+
+def test_rekeyed_members_equal_sample_set():
+    # One Philox re-keyed per trial gives each trial the stream of its own
+    # Philox(key=(seed, t)): 20,000 trials over several seeds, sizes and p,
+    # with rows of up to one draw and of more than MEMBER_CHUNK doubles.
+    cases = [(0, 30, 0.3, range(0, 6000)), (2**64 - 1, 1, 0.5, range(6000, 12000)),
+             (401, 77, 0.9, range(2**40, 2**40 + 7990)),
+             (5, MEMBER_CHUNK, 0.01, range(3, 13))]
+    checked = 0
+    for seed, N, p, trials in cases:
+        members = sample_members(_params(N, seed=seed, p=p), trials)
+        assert members.shape == (len(trials), N + 1) and members.dtype == bool
+        for row, t in zip(members, trials):
+            A = sample_set(_params(N, seed=seed, trial=t, p=p))
+            assert np.array_equal(np.flatnonzero(row), A.elements)
+            checked += 1
+    assert checked == 20000

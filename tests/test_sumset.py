@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -10,15 +11,24 @@ from conftest import all_combos
 from gensumset import (
     BudgetError,
     SampledSet,
+    SampleParameters,
     SignedCombination,
     ext_binom,
     gen_sumset,
     gen_sumset_naive,
     mstd_classify,
+    sample_set,
     tuple_statistics,
 )
 from gensumset import sumset
-from gensumset.sumset import BYTE_FOLD_MIN_N, _shift_or, _shift_or_bytes
+from gensumset.sampling import sample_members
+from gensumset.sumset import (
+    BIT_SLICE_MAX_N,
+    BYTE_FOLD_MIN_N,
+    _shift_or,
+    _shift_or_bytes,
+    batch_records,
+)
 
 
 def _set(elements, N):
@@ -261,3 +271,41 @@ def test_kernel_matches_naive_at_the_fold_threshold(N, monkeypatch):
         for combo in all_combos(2, 4):
             assert gen_sumset(A, combo) == gen_sumset_naive(A, combo)
     assert bool(byte_folds) == (N >= BYTE_FOLD_MIN_N)
+
+
+def _per_set_record(A, combos, probes, kernel):
+    results = [kernel(A, combo) for combo in combos]
+    missing = sum((not results[0].contains(n)) << j for j, n in enumerate(probes))
+    return (A.size, *(result.cardinality for result in results), missing)
+
+
+@pytest.mark.parametrize(
+    "N, p, T, seed",
+    [
+        (1, 0.5, 4097, 0),
+        (12, 0.5, 65, 2**64 - 1),
+        (9, 1.0, 64, 0),
+        (40, 1e-3, 63, 2**64 - 1),  # almost every set is empty
+        (BIT_SLICE_MAX_N - 1, 0.004, 65, 0),
+        (BIT_SLICE_MAX_N, 0.004, 64, 7),
+        (BIT_SLICE_MAX_N, 0.5, 1, 2**64 - 1),
+    ],
+)
+def test_batch_records_match_per_set_kernels(N, p, T, seed):
+    # The bit-sliced batch gives, set by set, the records that gen_sumset
+    # and the enumeration oracle give.  Probes outside the value range are
+    # missing, as contains() says.
+    combos = tuple(all_combos(2, 4))
+    probes = (-N - 1, -1, 0, 1, N, 2 * N - 1, 2 * N, 2 * N + 1, 4 * N + 1)
+    params = SampleParameters(N=N, seed=seed, p=p)
+    records = batch_records(sample_members(params, range(T)), combos, probes)
+    assert len(records) == T
+    empty = (0,) * (1 + len(combos)) + ((1 << len(probes)) - 1,)
+    for t, record in enumerate(records):
+        A = sample_set(replace(params, trial_index=t))
+        assert record == _per_set_record(A, combos, probes, gen_sumset)
+        if A.size <= 12:
+            assert record == _per_set_record(A, combos, probes, gen_sumset_naive)
+        assert (record == empty) == (A.size == 0)
+    if p == 1e-3:
+        assert records.count(empty) > T // 2
