@@ -3,18 +3,28 @@
 Each trial draws its randomness from a Philox4x64 counter-based generator
 keyed by the pair (seed, trial_index), so trial t is the same bit stream no
 matter which worker runs it, in which order, on which platform.  Membership
-is decided by comparing N+1 uniform doubles, drawn in fixed-size chunks,
-against the inclusion probability p = c * N**(-delta) (or a fixed p).
+keeps element a when the a-th double of Generator.random(N+1) is below the
+inclusion probability p = c * N**(-delta) (or a fixed p).
 
-`sample_set` builds one trial's set.  `sample_members` builds the membership
-rows of a batch of trials for the batched small-N path: it re-keys one
-Philox to (seed, t) through its state setter instead of constructing a
-generator per trial (a tenth of the cost), so each row is exactly the set
-`sample_set` gives for that trial.
+`sample_set` builds one trial's set.  It reads the stream as the raw 64-bit
+Philox words, in chunks of SAMPLE_CHUNK, and keeps word w when
+w < K << 11 with K = ceil(p * 2^53).  That is the same set, not an
+approximation: Generator.random turns word w into the double
+(w >> 11) * 2^-53, which is exact, and for the integer m = w >> 11 the test
+m * 2^-53 < p holds exactly when m < K, that is when w < K * 2^11.  At
+p = 1, K << 11 = 2^64 and every element is kept.  Skipping the conversion
+to doubles makes a draw at N = 10^6 about 1.2x as fast.
+
+`sample_members` builds the membership rows of a batch of trials for the
+batched small-N path: it re-keys one Philox to (seed, t) through its state
+setter instead of constructing a generator per trial (a tenth of the cost),
+so each row is exactly the set `sample_set` gives for that trial.  It still
+compares doubles: at N = 100 raw rows measured no faster.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,10 +122,7 @@ class SampledSet:
 
         Each element sets its bit in place, so no N+1-entry array is built.
         """
-        e = self.elements
-        out = np.zeros((self.N + 8) // 8, dtype=np.uint8)
-        np.bitwise_or.at(out, e >> 3, (1 << (e & 7)).astype(np.uint8))
-        return out
+        return scatter_bits(self.elements.copy(), (self.N + 8) // 8)
 
     def bitmask(self) -> int:
         """Characteristic bit-vector as an int: bit a is set iff a is a member.
@@ -142,6 +149,21 @@ class SampledSet:
         return cls(N=N, elements=np.array([int(tok) for tok in body], dtype=np.int64))
 
 
+def scatter_bits(offsets: np.ndarray, nbytes: int) -> np.ndarray:
+    """nbytes zeroed little-endian bytes with bit v set for each v in offsets.
+
+    offsets (int64) is overwritten with the byte indices, so the only
+    temporary is one uint8 bit mask per offset.
+    """
+    masks = np.bitwise_and(offsets, 7, out=np.empty(offsets.size, dtype=np.uint8),
+                           casting="unsafe")
+    np.left_shift(1, masks, out=masks)
+    offsets >>= 3
+    out = np.zeros(nbytes, dtype=np.uint8)
+    np.bitwise_or.at(out, offsets, masks)
+    return out
+
+
 def substream(seed: int, trial_index: int) -> np.random.Generator:
     """The deterministic generator for one trial: Philox keyed by (seed, trial)."""
     key = np.array([seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
@@ -151,19 +173,23 @@ def substream(seed: int, trial_index: int) -> np.random.Generator:
 def sample_set(params: SampleParameters) -> SampledSet:
     """Draw one subset: each of 0..N kept independently with probability p.
 
-    The N+1 uniforms are drawn in chunks of SAMPLE_CHUNK from the one
-    generator, which continues its stream across calls, so the set is the
-    same as from a single draw while memory stays at one chunk of doubles.
+    The N+1 raw words are drawn in chunks of SAMPLE_CHUNK from the one
+    generator, which continues its stream across calls, and compared with
+    K << 11 (see the module docstring), so the set is the one that
+    random(N+1) < p gives while memory stays at one chunk of words.
     """
-    p = effective_p(params)
-    gen = substream(params.seed, params.trial_index)
     size = params.N + 1
+    threshold = math.ceil(effective_p(params) * 2**53) << 11
+    if threshold > _MASK64:  # p = 1
+        return SampledSet(N=params.N, elements=np.arange(size, dtype=np.int64))
+    threshold = np.uint64(threshold)
+    bitgen = substream(params.seed, params.trial_index).bit_generator
     if size <= SAMPLE_CHUNK:
-        elements = np.flatnonzero(gen.random(size) < p)
+        elements = np.flatnonzero(bitgen.random_raw(size) < threshold)
     else:
         elements = np.concatenate([
-            np.flatnonzero(gen.random(min(SAMPLE_CHUNK, size - lo)) < p) + lo
-            for lo in range(0, size, SAMPLE_CHUNK)
+            np.flatnonzero(bitgen.random_raw(min(SAMPLE_CHUNK, size - lo)) < threshold)
+            + lo for lo in range(0, size, SAMPLE_CHUNK)
         ])
     return SampledSet(N=params.N, elements=elements.astype(np.int64))
 

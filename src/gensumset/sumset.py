@@ -6,17 +6,42 @@ element of B, so one fold costs |B| shifts.  Minus blocks are handled by
 reflecting A to {N - a} and adding, which keeps every intermediate index
 non-negative; the stored vector is indexed by n + dN over [0, hN].
 
-There are two folds, chosen by N alone.  Below BYTE_FOLD_MIN_N = 2^15 the
-vector is an arbitrary-size int and each shift is a big-int shift and OR.
-From 2^15 up it is packed little-endian bytes in a numpy uint8 array: each
-of the eight bit-shifted copies is built once per fold, and each shift ORs
-one of them in place at its byte offset, so no shift allocates.  Both give
-the same int.  The threshold is the measured crossover (2 cores, numpy
-2.4.6, h = 2 and 3, p from 0.001 to 1/2): the byte fold ran at 0.5-1.0x
-the big-int fold's speed at N = 2^14, at 1.0-2.3x at 2^15 and at 1.8-3.0x
-at 2^16, and at N = 10^6 it is 1.7x (|A| ~ 12) to 8-10x (|A| ~ 15.8k)
-faster.  Only APIs of numpy 1.22, the declared minimum, are used: the
-cardinality comes from int.bit_count, not np.bitwise_count (numpy 2.0).
+gen_sumset has three kernels, chosen by kernel_branch from N, h and |A|
+alone; all three give the same packed bytes.
+
+- Below BYTE_FOLD_MIN_N = 2^15 ("int") the vector is an arbitrary-size int
+  and each shift is a big-int shift and OR.
+- From 2^15 up ("bytes") it is packed little-endian bytes in a numpy uint8
+  array: each of the eight bit-shifted copies is built once per fold, and
+  each shift ORs one of them in place at its byte offset, so no shift
+  allocates.  The threshold is the measured crossover (2 cores, numpy
+  2.4.6, h = 2 and 3, p from 0.001 to 1/2): the byte fold ran at 0.5-1.0x
+  the big-int fold's speed at N = 2^14, at 1.0-2.3x at 2^15 and at
+  1.8-3.0x at 2^16, and at N = 10^6 it is 1.7x (|A| ~ 12) to 8-10x
+  (|A| ~ 15.8k) faster.
+- From 2^15 up, while 17|A|^h <= (4h - 3)N/8 ("enumerate"), the sums are
+  enumerated instead: each fold takes the outer sum of the distinct values
+  so far with the sorted elements (or their reflection), sorts it and
+  drops equal neighbours, and the distinct offsets are scattered into
+  zeroed bytes.  Its cost follows |A|^h, not N.  The rule is a memory cap:
+  the last outer sum holds at most |A|^h int64 entries, so with its sort
+  mask and its distinct copy its temporaries take at most 17|A|^h bytes,
+  and (4h - 3)N/8 bytes is the byte fold's own working set (its input, two
+  word copies and its output; tracemalloc read 0.77N, 1.35N and 1.86-1.97N
+  bytes for h = 2, 3 and 4 at N = 10^6).  Inside the cap the enumeration is also
+  the faster kernel.  Against the byte fold (2 cores, numpy 2.4.6, all
+  combos with h <= 4) it ran 11-30x as fast at N = 10^6 and
+  |A|^h/N ~ 0.001, 1.5-5.3x near the cap's edge (h = 2 at |A| = 192,
+  h = 3 at |A| = 32, h = 4 at |A| = 16), and 0.5-1.7x further out (h = 2 at
+  |A| = 256, h = 3 at |A| = 48-64, h = 4 at |A| = 24); at N = 2^15 it ran
+  2.6-6.4x as fast inside the cap and crossed near |A|^h/N ~ 0.3-0.6.  At
+  N = 10^6 the cap admits |A| up to 191, 40 and 17 for h = 2, 3 and 4,
+  which covers the fast-decay sets (|A| ~ 32 for h = 2 and 16 for h = 3).
+
+The cardinality is the enumeration's length, the big int's bit_count, or,
+after the byte fold, a SWAR popcount over little-endian uint64 words in
+blocks of 64 KB.  Only APIs of numpy 1.22, the declared minimum, are used:
+no np.bitwise_count (numpy 2.0).
 
 `batch_records` runs the same folds for a batch of small sets at once,
 bit-sliced: bit i of word (w, a) says whether set 64w + i contains a, so
@@ -40,34 +65,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .combinat import DEFAULT_TUPLE_BUDGET, BudgetError, SignedCombination, class_tally
-from .sampling import SampledSet
+from .sampling import SampledSet, scatter_bits
 
 DEFAULT_BIT_BUDGET = 10**9
 BYTE_FOLD_MIN_N = 1 << 15
 BIT_SLICE_MAX_N = 512
 _ALL_SETS = (1 << 64) - 1
 _FOLD_BYTES = 1 << 17  # bound on the term buffer of one _fold_words block
+_POPCOUNT_WORDS = 1 << 13  # 64 KB of words per block of _popcount
+_M1, _M2, _M4, _H01 = (np.uint64(0x0101010101010101 * m) for m in (0x55, 0x33, 0x0F, 1))
+_CSV_ROWS = 1 << 16  # membership rows that write_membership_csv formats at once
 
 SUM_DOMINATED = "sum-dominated"
 BALANCED = "balanced"
 DIFFERENCE_DOMINATED = "difference-dominated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenSumsetResult:
     """Membership of a generalized sumset over its full value range [-dN, sN].
 
-    bits holds the vector as an int with bit n + dN set iff n is generated;
-    cardinality + complement_count = hN + 1 always.
+    packed holds the membership vector as (hN + 8) // 8 little-endian bytes
+    (numpy uint8), with bit n + dN set iff n is generated; bits is the same
+    vector as an int, built on first use.  cardinality + complement_count =
+    hN + 1 always.
     """
 
     combo: SignedCombination
     N: int
-    bits: int
+    packed: np.ndarray
     cardinality: int
     complement_count: int
 
@@ -75,21 +106,35 @@ class GenSumsetResult:
     def span(self) -> int:
         return self.combo.h * self.N + 1
 
+    @cached_property
+    def bits(self) -> int:
+        return int.from_bytes(self.packed.tobytes(), "little")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GenSumsetResult):
+            return NotImplemented
+        return (
+            (self.combo, self.N, self.cardinality, self.complement_count)
+            == (other.combo, other.N, other.cardinality, other.complement_count)
+            and np.array_equal(self.packed, other.packed)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.combo, self.N, self.packed.tobytes()))
+
     def contains(self, n: int) -> bool:
         offset = n + self.combo.d * self.N
         if offset < 0 or offset >= self.span:
             return False
-        return bool((self.bits >> offset) & 1)
+        return bool(self.packed[offset >> 3] >> (offset & 7) & 1)
+
+    def _members(self) -> np.ndarray:
+        """One uint8 0/1 per value of the range, in order."""
+        return np.unpackbits(self.packed, count=self.span, bitorder="little")
 
     def values(self) -> list[int]:
         lo = -self.combo.d * self.N
-        bits = self.bits
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(lo + low.bit_length() - 1)
-            bits ^= low
-        return out
+        return (np.flatnonzero(self._members()) + lo).tolist()
 
     def summary(self) -> dict:
         return {
@@ -104,8 +149,11 @@ class GenSumsetResult:
         """Rows `n,member` with member in {0, 1}, over the whole range."""
         out.write("n,member\n")
         lo = -self.combo.d * self.N
-        for offset in range(self.span):
-            out.write(f"{lo + offset},{(self.bits >> offset) & 1}\n")
+        members = self._members()
+        for start in range(0, self.span, _CSV_ROWS):
+            rows = zip(range(lo + start, lo + start + _CSV_ROWS),
+                       members[start : start + _CSV_ROWS].tolist())
+            out.write("".join(f"{n},{member}\n" for n, member in rows))
 
 
 @dataclass(frozen=True)
@@ -165,10 +213,71 @@ def _shift_or_bytes(acc: np.ndarray, shifts: list[int]) -> np.ndarray:
     return out
 
 
-def _empty_result(combo: SignedCombination, N: int) -> GenSumsetResult:
-    return GenSumsetResult(
-        combo=combo, N=N, bits=0, cardinality=0, complement_count=combo.h * N + 1
-    )
+def _popcount(packed: np.ndarray) -> int:
+    """Set bits of packed bytes, by a SWAR count over little-endian words.
+
+    The words are taken _POPCOUNT_WORDS at a time, so the temporaries stay
+    at 64 KB each, and the last size % 8 bytes go through int.bit_count.
+    Only numpy 1.22 APIs: no np.bitwise_count.
+    """
+    whole = packed.size - packed.size % 8
+    words = packed[:whole].view("<u8")
+    total = int.from_bytes(packed[whole:].tobytes(), "little").bit_count()
+    for lo in range(0, words.size, _POPCOUNT_WORDS):
+        x = words[lo : lo + _POPCOUNT_WORDS]
+        x = x - ((x >> 1) & _M1)
+        x = (x & _M2) + ((x >> 2) & _M2)
+        x = (x + (x >> 4)) & _M4
+        total += int(((x * _H01) >> 56).sum())
+    return total
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of an int64 array, ascending; sorts it in place.
+
+    A neighbour compare after the sort, not np.unique, whose first call
+    allocates about 1.2 MB (numpy 2.4).
+    """
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _enumerated_sums(folds: list[np.ndarray]) -> np.ndarray:
+    """Distinct offsets n + dN of the sumset, ascending, by outer sums.
+
+    Each fold adds every element of its base to every distinct value so far,
+    so the last outer sum has at most |A|^h entries.  There are h - 1 >= 1
+    folds, so the result is always a fresh array.
+    """
+    values = folds[0]
+    for base in folds[1:]:
+        values = _distinct((values[:, None] + base[None, :]).ravel())
+    return values
+
+
+def kernel_branch(N: int, h: int, size: int) -> str:
+    """Which kernel gen_sumset runs for |A| = size > 0 (module docstring).
+
+    "int" below BYTE_FOLD_MIN_N; from there "enumerate" while the
+    enumeration's 17 bytes per sum of the last outer sum, size^h of them at
+    most, fit in the byte fold's working set of (4h - 3)N/8 bytes, and
+    "bytes" above.
+    """
+    if N < BYTE_FOLD_MIN_N:
+        return "int"
+    if 8 * 17 * size**h <= (4 * h - 3) * N:
+        return "enumerate"
+    return "bytes"
+
+
+def _result(combo: SignedCombination, N: int, packed: np.ndarray,
+            cardinality: int) -> GenSumsetResult:
+    span = combo.h * N + 1
+    return GenSumsetResult(combo=combo, N=N, packed=packed, cardinality=cardinality,
+                           complement_count=span - cardinality)
 
 
 def gen_sumset(
@@ -178,38 +287,40 @@ def gen_sumset(
 
     Folds ascending: s copies of A, then d copies of the reflection
     {N - a}.  Set addition is associative and commutative, so the order is
-    semantically irrelevant; fixing it keeps runs reproducible.  Each fold
-    shifts the accumulated (dense) vector by the elements of the sparser
-    base set, on a big int below N = BYTE_FOLD_MIN_N and on packed bytes
-    from there up (see the module docstring); the result is the same.
+    semantically irrelevant; fixing it keeps runs reproducible.  The folds
+    run on a big int, on packed bytes, or as enumerated sums, chosen by
+    kernel_branch from N, h and |A| (see the module docstring); the result
+    is the same.
     """
     span = combo.h * A.N + 1
     if span > bit_budget:
         raise BudgetError(
             f"membership vector needs {span} bits, exceeding the budget of {bit_budget}"
         )
+    nbytes = (span + 7) // 8
     if A.size == 0:
-        return _empty_result(combo, A.N)
+        return _result(combo, A.N, np.zeros(nbytes, dtype=np.uint8), 0)
+    branch = kernel_branch(A.N, combo.h, A.size)
+    if branch == "enumerate":
+        elements = A.elements
+        values = _enumerated_sums([elements] * combo.s + [A.N - elements[::-1]] * combo.d)
+        return _result(combo, A.N, scatter_bits(values, nbytes), values.size)
     elements = A.elements.tolist()
     reflected = [A.N - a for a in reversed(elements)]
     folds = [elements] * (combo.s - 1) + [reflected] * combo.d
-    if A.N < BYTE_FOLD_MIN_N:
+    if branch == "int":
         acc = A.bitmask()
         for shifts in folds:
             acc = _shift_or(acc, shifts)
-    else:
-        packed = A.packed_bits()
-        for shifts in folds:
-            packed = _shift_or_bytes(packed, shifts)
-        acc = int.from_bytes(packed.tobytes(), "little")
-    cardinality = acc.bit_count()
-    return GenSumsetResult(
-        combo=combo,
-        N=A.N,
-        bits=acc,
-        cardinality=cardinality,
-        complement_count=span - cardinality,
-    )
+        packed = np.frombuffer(acc.to_bytes(nbytes, "little"), dtype=np.uint8)
+        return _result(combo, A.N, packed, acc.bit_count())
+    packed = A.packed_bits()
+    for shifts in folds:
+        packed = _shift_or_bytes(packed, shifts)
+    if packed.size < nbytes:  # A's extremes lie well inside [0, N]
+        packed = np.concatenate([packed, np.zeros(nbytes - packed.size, dtype=np.uint8)])
+    packed = packed[:nbytes]
+    return _result(combo, A.N, packed, _popcount(packed))
 
 
 def _fold_words(acc: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -293,26 +404,16 @@ def gen_sumset_naive(
             f"enumerating {A.size ** combo.h} ordered tuples exceeds the budget "
             f"of {tuple_budget}"
         )
-    if A.size == 0:
-        return _empty_result(combo, A.N)
     arr = A.elements
-    values = np.zeros(1, dtype=np.int64)
+    values = np.zeros(1 if A.size else 0, dtype=np.int64)
     for _ in range(combo.s):
         values = (values[:, None] + arr[None, :]).ravel()
     for _ in range(combo.d):
         values = (values[:, None] - arr[None, :]).ravel()
-    span = combo.h * A.N + 1
-    mask = np.zeros(span, dtype=bool)
-    mask[np.unique(values) + combo.d * A.N] = True
-    bits = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-    cardinality = bits.bit_count()
-    return GenSumsetResult(
-        combo=combo,
-        N=A.N,
-        bits=bits,
-        cardinality=cardinality,
-        complement_count=span - cardinality,
-    )
+    distinct = np.unique(values)
+    mask = np.zeros(combo.h * A.N + 1, dtype=bool)
+    mask[distinct + combo.d * A.N] = True
+    return _result(combo, A.N, np.packbits(mask, bitorder="little"), distinct.size)
 
 
 def tuple_statistics(

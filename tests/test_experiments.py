@@ -385,6 +385,17 @@ def test_b_derived_battery_reports_regenerate(stem):
     assert report.csv_text() == (ROOT / "results" / f"{stem}.csv").read_text()
 
 
+@pytest.mark.parametrize("stem", ["fast_h2", "fast_h3"])
+def test_fast_battery_reports_regenerate(stem):
+    # With critical_h2 and critical_h3 above, this pins the large-N sets of
+    # sample_set (N = 10^5 and 10^6) and both large-N kernels, the byte fold
+    # and the enumeration, to the checked-in reports byte for byte.
+    data = json.loads((ROOT / "scripts" / "configs" / f"{stem}.json").read_text())
+    report = run_experiment(config_from_jsonable(data), workers=2)
+    assert report.to_json() == (ROOT / "results" / f"{stem}.json").read_text()
+    assert report.csv_text() == (ROOT / "results" / f"{stem}.csv").read_text()
+
+
 @pytest.mark.parametrize("chunk_trials", [1, 63, 64, 65])
 def test_chunk_size_never_reaches_a_report(chunk_trials, monkeypatch):
     monkeypatch.setattr(experiments, "_CHUNK_TRIALS", chunk_trials)

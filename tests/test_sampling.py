@@ -137,16 +137,38 @@ def test_round_trip_hypothesis(N, elements):
     assert SampledSet.read(buf) == A
 
 
+# Edge probabilities, and c * N**(-delta) of the N = 10^6 battery configs
+# (fast_h2, fast_h3, critical_h3, slow_h2) and of critical_h2 (N = 10^5).
+_ORACLE_PS = [1.0, 1.0 - 2.0**-53, 0.5, 2.0**-53, 0.01,
+              1.0 * 1e6 ** -0.75, 1.0 * 1e6 ** -0.8, 2.0 * 1e6 ** (-2 / 3),
+              1.0 * 1e6 ** -0.3, 1.0 * 1e5 ** -0.5]
+
+
 @pytest.mark.parametrize(
     "size", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 10**6 + 1]
 )
 def test_chunked_draws_equal_one_draw(size):
-    # Drawing the N+1 uniforms chunk by chunk continues one stream, so the
-    # set is the one a single draw of N+1 doubles gives.
-    for t in range(3):
-        A = sample_set(_params(size - 1, seed=11, trial=t, p=0.01))
-        one_draw = np.flatnonzero(substream(11, t).random(size) < 0.01)
-        assert np.array_equal(A.elements, one_draw)
+    # Comparing raw words chunk by chunk continues one stream, so the set is
+    # the one a single draw of N+1 doubles gives against p.
+    for p in _ORACLE_PS:
+        for t in range(3):
+            A = sample_set(_params(size - 1, seed=11, trial=t, p=p))
+            one_draw = np.flatnonzero(substream(11, t).random(size) < p)
+            assert np.array_equal(A.elements, one_draw)
+
+
+def test_raw_threshold_is_exact_at_each_double():
+    # p equal to a drawn double u excludes that element and the next double
+    # above u includes it, as random() < p does.
+    for t in range(200):
+        u = float(substream(3, t).random(1)[0])
+        for p in (u, float(np.nextafter(u, 2.0)), float(np.nextafter(u, 0.0))):
+            if p <= 0.0:
+                continue
+            A = sample_set(_params(40, seed=3, trial=t, p=p))
+            assert (A.size > 0 and A.elements[0] == 0) == (u < p)
+            one_draw = np.flatnonzero(substream(3, t).random(41) < p)
+            assert np.array_equal(A.elements, one_draw)
 
 
 def test_rekeyed_members_equal_sample_set():

@@ -23,8 +23,11 @@ from gensumset import (
 from gensumset import sumset
 from gensumset.sampling import sample_members
 from gensumset.sumset import (
+    _POPCOUNT_WORDS,
     BIT_SLICE_MAX_N,
     BYTE_FOLD_MIN_N,
+    _enumerated_sums,
+    _popcount,
     _shift_or,
     _shift_or_bytes,
     batch_records,
@@ -253,24 +256,143 @@ def test_byte_fold_matches_big_int_fold(length, data):
     assert int.from_bytes(folded.tobytes(), "little") == _shift_or(bits, shifts)
 
 
+def _documented_branch(N, h, size):
+    # The rule of the sumset module docstring, written out independently.
+    if N < BYTE_FOLD_MIN_N:
+        return "int"
+    return "enumerate" if 17 * size**h <= (4 * h - 3) * N / 8 else "bytes"
+
+
 @pytest.mark.parametrize(
     "N", [BYTE_FOLD_MIN_N - 1, BYTE_FOLD_MIN_N, BYTE_FOLD_MIN_N + 1]
 )
 def test_kernel_matches_naive_at_the_fold_threshold(N, monkeypatch):
-    byte_folds = []
+    ran = []
 
-    def spy(acc, shifts):
-        byte_folds.append(len(shifts))
-        return _shift_or_bytes(acc, shifts)
+    def spy(name, kernel):
+        def wrapper(*args):
+            ran.append(name)
+            return kernel(*args)
+        return wrapper
 
-    monkeypatch.setattr(sumset, "_shift_or_bytes", spy)
+    monkeypatch.setattr(sumset, "_shift_or", spy("int", _shift_or))
+    monkeypatch.setattr(sumset, "_shift_or_bytes", spy("bytes", _shift_or_bytes))
+    monkeypatch.setattr(sumset, "_enumerated_sums", spy("enumerate", _enumerated_sums))
     rng = np.random.default_rng(N)
-    for _ in range(4):
-        inner = rng.integers(1, N, size=int(rng.integers(0, 7)))
+    branches = set()
+    for inner_size in (0, 3, 4, 6, 10):
+        inner = rng.choice(np.arange(1, N), size=inner_size, replace=False)
         A = _set([0, N, *inner.tolist()], N)  # the extremes span the whole range
         for combo in all_combos(2, 4):
+            ran.clear()
             assert gen_sumset(A, combo) == gen_sumset_naive(A, combo)
-    assert bool(byte_folds) == (N >= BYTE_FOLD_MIN_N)
+            expected = _documented_branch(N, combo.h, A.size)
+            assert set(ran) == {expected}
+            branches.add(expected)
+    if N < BYTE_FOLD_MIN_N:
+        assert branches == {"int"}
+    else:  # both sides of the enumeration crossover
+        assert branches == {"enumerate", "bytes"}
+
+
+def _forced(branch, A, combo, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(sumset, "kernel_branch", lambda N, h, size: branch)
+        return gen_sumset(A, combo)
+
+
+@pytest.mark.parametrize("N", [BYTE_FOLD_MIN_N, 10**6])
+def test_enumeration_equals_naive_and_byte_fold(N, monkeypatch):
+    # Whole results, packed bytes included, for every combo with h <= 4,
+    # at the largest |A| the rule enumerates and one past it.
+    rng = np.random.default_rng(N + 1)
+    fixed = [[], [0], [N], [N // 3], [0, N], [0, 1, N - 1, N]]
+    for combo in all_combos(2, 4):
+        largest = 1
+        while _documented_branch(N, combo.h, largest + 1) == "enumerate":
+            largest += 1
+        sets = [_set(elements, N) for elements in fixed]
+        for size in (largest, largest + 1):
+            inner = rng.choice(np.arange(1, N), size=size - 2, replace=False)
+            sets.append(_set([0, N, *inner.tolist()], N))
+        sides = [sumset.kernel_branch(N, combo.h, A.size) for A in sets[-2:]]
+        assert sides == ["enumerate", "bytes"]
+        for A in sets:
+            enumerated = _forced("enumerate", A, combo, monkeypatch)
+            assert enumerated == _forced("bytes", A, combo, monkeypatch)
+            assert enumerated == gen_sumset_naive(A, combo, tuple_budget=10**7)
+            assert enumerated.packed.size == (combo.h * N + 8) // 8
+
+
+@given(
+    st.one_of(
+        st.integers(0, 200),
+        st.integers(-24, 24).map(lambda k: 8 * _POPCOUNT_WORDS + k),
+        st.integers(-24, 24).map(lambda k: 16 * _POPCOUNT_WORDS + k),
+    ),
+    st.sampled_from(["random", "ones", "sparse"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_blocked_popcount_equals_bit_count(length, fill, seed):
+    # Lengths that are not whole words, and that cross a block boundary.
+    rng = np.random.default_rng(seed)
+    if fill == "ones":
+        packed = np.full(length, 0xFF, dtype=np.uint8)
+    else:
+        packed = rng.integers(0, 256, size=length, dtype=np.uint8)
+        if fill == "sparse":
+            packed &= rng.random(length) < 0.01
+    assert _popcount(packed) == int.from_bytes(packed.tobytes(), "little").bit_count()
+
+
+def _values_by_int_walk(result):
+    # The former values(): walk the set bits of the int.
+    lo = -result.combo.d * result.N
+    bits, out = result.bits, []
+    while bits:
+        low = bits & -bits
+        out.append(lo + low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _membership_csv_by_int_walk(result):
+    # The former write_membership_csv: one shift of the int per row.
+    lo = -result.combo.d * result.N
+    rows = [f"{lo + offset},{(result.bits >> offset) & 1}\n"
+            for offset in range(result.span)]
+    return "n,member\n" + "".join(rows)
+
+
+def _assert_linear_readers_match_int_walk(result):
+    assert result.values() == _values_by_int_walk(result)
+    buf = io.StringIO()
+    result.write_membership_csv(buf)
+    assert buf.getvalue() == _membership_csv_by_int_walk(result)
+    assert len(result.values()) == result.cardinality
+    assert all(result.contains(n) for n in result.values())
+
+
+def test_values_and_membership_csv_match_int_walk():
+    for elements, N in (([0, 1], 1), ([0, 1, 2, 4], 4), ([], 10), ([4], 10),
+                        ([2, 3, 7], 9), ([0, 2], 2)):
+        for combo in all_combos(2, 4):
+            _assert_linear_readers_match_int_walk(gen_sumset(_set(elements, N), combo))
+    # A CSV longer than one block of rows.
+    A = _set([0, 5, 17, 40000], 40000)
+    _assert_linear_readers_match_int_walk(gen_sumset(A, SignedCombination(1, 1)))
+
+
+@given(
+    st.integers(1, 70),
+    st.lists(st.integers(0, 70), max_size=12),
+    st.sampled_from(all_combos(2, 4)),
+)
+@settings(max_examples=100, deadline=None)
+def test_values_and_membership_csv_match_int_walk_hypothesis(N, elements, combo):
+    A = SampledSet.from_iterable([e for e in elements if e <= N], N=N)
+    _assert_linear_readers_match_int_walk(gen_sumset(A, combo))
 
 
 def _per_set_record(A, combos, probes, kernel):
