@@ -31,8 +31,10 @@ from .sampling import SampledSet, SampleParameters, sample_set
 from .sumset import gen_sumset, tuple_statistics
 
 
-def _provenance(resolved: dict, seed) -> dict:
-    return {"tool": "gensumset", "version": VERSION, "seed": seed, "config": resolved}
+def _provenance(args, seed) -> dict:
+    """Tool version, seed and the resolved input: every parsed flag."""
+    config = {name: value for name, value in vars(args).items() if name != "func"}
+    return {"tool": "gensumset", "version": VERSION, "seed": seed, "config": config}
 
 
 def _emit(text: str, out_path: str | None, provenance: dict, comment_prefix: str | None):
@@ -69,16 +71,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def _cmd_constants(args) -> int:
-    resolved = {
-        "subcommand": "constants",
-        "h": args.h,
-        "kmax": args.kmax,
-        "g_c": args.g_c,
-        "g_combo": args.g_combo,
-        "format": args.format,
-        "out": args.out,
-    }
-    prov = _provenance(resolved, None)
+    prov = _provenance(args, None)
     b = [b_constant(args.h, k) for k in range(1, args.kmax + 1)]
     if args.format == "csv":
         text = "k,b_hk\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(b, start=1))
@@ -103,11 +96,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_rcount(args) -> int:
     combo = _combo(args.s, args.d)
-    resolved = {
-        "subcommand": "rcount", "N": args.N, "s": args.s, "d": args.d,
-        "format": args.format, "out": args.out,
-    }
-    prov = _provenance(resolved, None)
+    prov = _provenance(args, None)
     table = rep_counts_all(combo, args.N)
     if args.format == "csv":
         lines = ["n,count"] + [f"{n},{count}" for n, count in table.items()]
@@ -122,27 +111,13 @@ def _cmd_rcount(args) -> int:
     return 0
 
 
-def _sample_params(args) -> SampleParameters:
-    try:
-        return SampleParameters(
-            N=args.N,
-            seed=args.seed,
-            trial_index=args.trial,
-            c=args.c,
-            delta=None if args.delta is None else _fraction(args.delta),
-            p=args.p,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc  # each message names its field
-
-
 def _cmd_sample(args) -> int:
-    params = _sample_params(args)
-    resolved = {
-        "subcommand": "sample", "N": args.N, "c": args.c, "delta": args.delta,
-        "p": args.p, "seed": args.seed, "trial": args.trial, "out": args.out,
-    }
-    prov = _provenance(resolved, args.seed)
+    # A bad field raises ValueError naming it, which main reports unchanged.
+    params = SampleParameters(
+        N=args.N, seed=args.seed, trial_index=args.trial, c=args.c,
+        delta=None if args.delta is None else _fraction(args.delta), p=args.p,
+    )
+    prov = _provenance(args, args.seed)
     A = sample_set(params)
     import io
 
@@ -159,20 +134,12 @@ def _read_set(path: str) -> SampledSet:
 
 def _cmd_sumset(args) -> int:
     combo = _combo(args.s, args.d)
-    resolved = {
-        "subcommand": "sumset", "infile": args.infile, "s": args.s, "d": args.d,
-        "out": args.out, "membership_csv": args.membership_csv,
-    }
-    prov = _provenance(resolved, None)
+    prov = _provenance(args, None)
     A = _read_set(args.infile)
     result = gen_sumset(A, combo)
     if args.membership_csv:
-        import io
-
-        buf = io.StringIO()
-        result.write_membership_csv(buf)
         with open(args.membership_csv, "w", encoding="utf-8", newline="") as f:
-            f.write(buf.getvalue())
+            result.write_membership_csv(f)
     doc = {"provenance": prov, **result.summary()}
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out, prov, None)
     return 0
@@ -180,11 +147,7 @@ def _cmd_sumset(args) -> int:
 
 def _cmd_xk(args) -> int:
     combo = _combo(args.s, args.d)
-    resolved = {
-        "subcommand": "xk", "infile": args.infile, "s": args.s, "d": args.d,
-        "kmax": args.kmax, "out": args.out,
-    }
-    prov = _provenance(resolved, None)
+    prov = _provenance(args, None)
     A = _read_set(args.infile)
     stats = tuple_statistics(A, combo, k_max=args.kmax)
     doc = {
@@ -207,7 +170,8 @@ def _cmd_experiment(args) -> int:
 
         config = replace(config, seed=args.seed)
     config.validate()
-    prov = _provenance(config_to_jsonable(config), config.seed)
+    # An experiment's input is its resolved config, not the flags that named it.
+    prov = {**_provenance(args, config.seed), "config": config_to_jsonable(config)}
     print(json.dumps(prov, sort_keys=True))
     report = run_experiment(config, workers=args.workers)
     if args.json_out:

@@ -17,8 +17,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
-from typing import Iterator, TextIO
+from itertools import accumulate, combinations_with_replacement, product
+from typing import Iterator
 
 DEFAULT_TUPLE_BUDGET = 10**8   # ordered tuples an enumeration oracle will visit
 DEFAULT_ENTRY_BUDGET = 5 * 10**7  # table entries rep_counts_all will materialize
@@ -86,12 +86,6 @@ class RepresentationCounts:
         for m, count in enumerate(self.counts):
             yield lo + m, count
 
-    def write_csv(self, out: TextIO) -> None:
-        """Rows `n,count` in increasing n, decimal counts."""
-        out.write("n,count\n")
-        for n, count in self.items():
-            out.write(f"{n},{count}\n")
-
 
 def ext_binom(a: int, b: int) -> int:
     """Binomial coefficient extended by C(a, b) = 0 for a < b, including a < 0."""
@@ -141,9 +135,9 @@ def rep_counts_all(
 ) -> RepresentationCounts:
     """rep_count for every n in [-dN, sN] as one table.
 
-    Builds the composition counts C(n'+h-1, h-1) by a running product and
-    combines the h+1 shifted copies, which is term-for-term the rep_count
-    sum, just without recomputing binomials per entry.
+    Builds the composition counts C(n'+h-1, h-1) by h-1 prefix sums over
+    ones and adds the h signed copies shifted by i(N+1), which is
+    term-for-term the rep_count sum, without one binomial per entry.
     """
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
@@ -154,20 +148,14 @@ def rep_counts_all(
             f"rep_counts_all needs {span} entries, exceeding the budget of {entry_budget}"
         )
     # unbounded[m] = C(m+h-1, h-1), compositions of m into h non-negative parts
-    unbounded = [0] * span
-    unbounded[0] = 1
-    for m in range(1, span):
-        unbounded[m] = unbounded[m - 1] * (m + h - 1) // m
-    signs = [(-1) ** i * math.comb(h, i) for i in range(h + 1)]
-    counts = [0] * span
-    for nprime in range(span):
-        total = 0
-        for i in range(h + 1):
-            m = nprime - i * (N + 1)
-            if m < 0:
-                break
-            total += signs[i] * unbounded[m]
-        counts[nprime] = total
+    unbounded = [1] * span
+    for _ in range(h - 1):
+        unbounded = list(accumulate(unbounded))
+    counts = list(unbounded)
+    for i in range(1, h + 1):
+        shift = i * (N + 1)
+        sign = (-1) ** i * math.comb(h, i)
+        counts[shift:] = [a + sign * b for a, b in zip(counts[shift:], unbounded)]
     return RepresentationCounts(combo=combo, N=N, counts=tuple(counts))
 
 

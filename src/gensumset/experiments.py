@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 
@@ -51,28 +51,74 @@ class ConfigError(ValueError):
     """A configuration field is missing, malformed, or inconsistent."""
 
 
+def _integer(value) -> int:
+    """A JSON integer; a float or a bool is refused rather than truncated."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _integers(value) -> tuple[int, ...]:
+    """One JSON integer or a list of them."""
+    return tuple(map(_integer, value if isinstance(value, list) else [value]))
+
+
+def _number(value):
+    """A JSON number or null, kept as given so the report echoes it unchanged."""
+    if value is not None and type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _string(value) -> str:
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _rational(value) -> Fraction | None:
+    if isinstance(value, float):
+        raise TypeError('write rationals as strings, e.g. "2/3"')
+    return None if value is None else Fraction(value)
+
+
+def _window(value) -> tuple[float, float]:
+    lo, hi = value
+    return (float(lo), float(hi))
+
+
+def _combos(value) -> tuple[SignedCombination, ...]:
+    return tuple(SignedCombination(_integer(s), _integer(d)) for s, d in value)
+
+
+def _json(read, write=None, key=None, **default):
+    """A config field with its JSON key (the field name unless given), reader and writer."""
+    return field(metadata={"read": read, "write": write or (lambda value: value),
+                           "key": key}, **default)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
-    Ns: tuple[int, ...]
-    trials: int
-    seed: int
-    combos: tuple[SignedCombination, ...] = ()
-    c: float | None = None
-    delta: Fraction | None = None
-    p: float | None = None
-    k: int = 1
-    tolerance: float | None = None
-    fraction_window: tuple[float, float] = _FRACTION_WINDOW
-    bit_budget: int = DEFAULT_BIT_BUDGET
+    # The JSON readers run in field order, so a config with several bad
+    # fields names the first of them.
+    kind: str = _json(_string)
+    Ns: tuple[int, ...] = _json(_integers, list, key="N")
+    trials: int = _json(_integer)
+    seed: int = _json(_integer)
+    combos: tuple[SignedCombination, ...] = _json(
+        _combos, lambda combos: [[combo.s, combo.d] for combo in combos], default=())
+    c: float | None = _json(_number, default=None)
+    delta: Fraction | None = _json(
+        _rational, lambda delta: None if delta is None else str(delta), default=None)
+    p: float | None = _json(_number, default=None)
+    k: int = _json(_integer, default=1)
+    tolerance: float | None = _json(_number, default=None)
+    bit_budget: int = _json(_integer, default=DEFAULT_BIT_BUDGET)
+    fraction_window: tuple[float, float] = _json(_window, list, default=_FRACTION_WINDOW)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "Ns", tuple(self.Ns))
         object.__setattr__(self, "combos", tuple(self.combos))
-        if self.delta is not None:
-            if isinstance(self.delta, float):
-                raise ConfigError("delta: must be an exact rational, not a float")
-            object.__setattr__(self, "delta", Fraction(self.delta))
         if not self.combos and self.kind in ("slow-h2", "mstd"):
             object.__setattr__(self, "combos", _SUM_DIFF)
         if self.tolerance is None:
@@ -86,33 +132,36 @@ class ExperimentConfig:
             bad = [value for value in values if type(value) is not int]
             if bad:  # a float or a bool is refused, never truncated
                 raise ConfigError(f"{name}: expected an integer, got {bad[0]!r}")
-        if not self.Ns or any(n < 1 for n in self.Ns):
-            raise ConfigError("N: need at least one positive ground-set size")
+        if not self.Ns:
+            raise ConfigError("N: need at least one ground-set size")
         if self.trials < 1:
             raise ConfigError("trials: must be at least 1")
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigError(f"seed: must lie in [0, 2**64), got {self.seed}")
         getattr(self, f"_validate_{self.kind.replace('-', '_')}")()
 
+    def _sample_params(self, N: int) -> SampleParameters:
+        """The sampling parameters at size N, which check N, seed, c, delta and p."""
+        try:
+            return SampleParameters(N=N, seed=self.seed, c=self.c, delta=self.delta, p=self.p)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{exc} at N = {N}") from exc
+
     def _require_decay(self, *regimes: density.Regime) -> None:
-        if self.c is None or self.c <= 0:
+        if self.c is None and self.delta is None:
             raise ConfigError("c: a positive coefficient is required")
-        if self.delta is None:
-            raise ConfigError("delta: an exact rational exponent is required")
-        if self.p is not None:
-            raise ConfigError("p: fixed p conflicts with (c, delta)")
+        # The regime is checked before p(N) <= 1, so that a delta in the wrong
+        # regime is named as such; SampleParameters names a malformed delta.
         h = self.combos[0].h
-        regime = density.classify_regime(h, self.delta)
+        try:
+            regime = density.classify_regime(h, self.delta)
+        except (TypeError, ValueError):
+            regime = regimes[0]
         if regime not in regimes:
             names = "/".join(r.value for r in regimes)
             raise ConfigError(
                 f"delta: {self.delta} puts h={h} in regime {regime.value}, need {names}"
             )
         for N in self.Ns:
-            try:
-                _effective_p(self, N)
-            except ValueError as exc:
-                raise ConfigError(f"c: {exc} at N = {N}") from exc
+            self._sample_params(N)
 
     def _validate_fast_ratio(self) -> None:
         if len(self.combos) != 2:
@@ -138,7 +187,7 @@ class ExperimentConfig:
             raise ConfigError("combos: slow-h2 is a two-summand experiment")
         self._require_decay(density.Regime.SLOW_H2)
         for N in self.Ns:
-            p = _effective_p(self, N)
+            p = effective_p(self._sample_params(N))
             if 4.0 / p**2 >= (2 * N + 1) / 10.0:
                 raise ConfigError(
                     f"N: {N} is too small for delta={self.delta}; the predicted "
@@ -160,6 +209,8 @@ class ExperimentConfig:
         lo, hi = self.fraction_window
         if not 0.0 <= lo < hi <= 1.0:
             raise ConfigError(f"fraction_window: bad window ({lo}, {hi})")
+        for N in self.Ns:
+            self._sample_params(N)
 
     def _validate_concentration(self) -> None:
         if len(self.combos) != 1:
@@ -179,88 +230,37 @@ class ExperimentConfig:
             raise ConfigError(f"k: b-convergence supports k in 1..3, got {self.k}")
         if any(b <= a for a, b in zip(self.Ns, self.Ns[1:])):
             raise ConfigError("N: sizes must be strictly increasing")
+        # Nothing is sampled, so no SampleParameters checks N and seed.
+        if min(self.Ns) < 1:
+            raise ConfigError(f"N: must be positive, got {min(self.Ns)}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed: must lie in [0, 2**64), got {self.seed}")
+
+
+def _key(config_field) -> str:
+    return config_field.metadata["key"] or config_field.name
 
 
 def config_to_jsonable(config: ExperimentConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "combos": [[combo.s, combo.d] for combo in config.combos],
-        "N": list(config.Ns),
-        "trials": config.trials,
-        "seed": config.seed,
-        "c": config.c,
-        "delta": None if config.delta is None else str(config.delta),
-        "p": config.p,
-        "k": config.k,
-        "tolerance": config.tolerance,
-        "fraction_window": list(config.fraction_window),
-        "bit_budget": config.bit_budget,
-    }
-
-
-def _integer(value) -> int:
-    """A JSON integer; a float or a bool is refused rather than truncated."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _number(value):
-    """A JSON number or null, kept as given so the report echoes it unchanged."""
-    if value is not None and type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
-
-
-def _rational(value) -> Fraction | None:
-    if isinstance(value, float):
-        raise TypeError('write rationals as strings, e.g. "2/3"')
-    return None if value is None else Fraction(value)
-
-
-def _window(value) -> tuple[float, float]:
-    lo, hi = value
-    return (float(lo), float(hi))
+    return {_key(f): f.metadata["write"](getattr(config, f.name)) for f in fields(config)}
 
 
 def config_from_jsonable(data: dict) -> ExperimentConfig:
-    known = {"kind", "combos", "N", "trials", "seed", "c", "delta", "p", "k",
-             "tolerance", "fraction_window", "bit_budget"}
-    unknown = set(data) - known
+    table = {_key(f): f for f in fields(ExperimentConfig)}
+    unknown = set(data) - set(table)
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown config field")
-    for required in ("kind", "N", "trials", "seed"):
-        if required not in data:
-            raise ConfigError(f"{required}: required config field is missing")
-
-    def field(name, convert, default=None):
-        # Convert one field, naming it in any error.
-        if name not in data:
-            return default
-        try:
-            return convert(data[name])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-
-    kwargs = dict(
-        kind=data["kind"],
-        Ns=field("N", lambda v: tuple(map(_integer, v if isinstance(v, list) else [v]))),
-        trials=field("trials", _integer),
-        seed=field("seed", _integer),
-        combos=field("combos", lambda v: tuple(
-            SignedCombination(_integer(s), _integer(d)) for s, d in v), ()),
-        c=field("c", _number),
-        delta=field("delta", _rational),
-        p=field("p", _number),
-        k=field("k", _integer, 1),
-        tolerance=field("tolerance", _number),
-        bit_budget=field("bit_budget", _integer, DEFAULT_BIT_BUDGET),
-        fraction_window=field("fraction_window", _window, _FRACTION_WINDOW),
-    )
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, f in table.items():
+        if f.default is MISSING and key not in data:
+            raise ConfigError(f"{key}: required config field is missing")
+    kwargs = {}
+    for key, f in table.items():
+        if key in data:
+            try:
+                kwargs[f.name] = f.metadata["read"](data[key])
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -337,11 +337,6 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _effective_p(config: ExperimentConfig, N: int) -> float:
-    params = SampleParameters(N=N, seed=0, c=config.c, delta=config.delta, p=config.p)
-    return effective_p(params)
-
-
 def _mean_std(values: list[float]) -> tuple[float, float, float]:
     """Mean, sample standard deviation and standard error, by two-pass fsum."""
     n = len(values)
@@ -403,8 +398,7 @@ def _trial_records(config, N, combos, probes, trials: range) -> list[tuple[int, 
     to integers and released before the next is computed, so one membership
     vector is alive at a time.
     """
-    params = SampleParameters(N=N, seed=config.seed, c=config.c, delta=config.delta,
-                              p=config.p)
+    params = config._sample_params(N)
     records = []
     if N <= BIT_SLICE_MAX_N:
         span = max(combo.h for combo in combos) * N + 1
@@ -482,7 +476,7 @@ def _critical_size(config, records):
 
 
 def _missing_rows(config, N, sums_stats, diffs_stats, excluded) -> list[ReportRow]:
-    p = _effective_p(config, N)
+    p = effective_p(config._sample_params(N))
     combo_s, combo_d = _SUM_DIFF
     return [
         _row(config, combo_s, N, sums_stats, excluded, "mean missing-sum count",
@@ -507,7 +501,7 @@ def _slow_h2(config, records):
                                     _mean_std([m[1] for m in kept]),
                                     config.trials - len(kept))
         rows += [sums, diffs]
-        p = _effective_p(config, N)
+        p = effective_p(config._sample_params(N))
         tol = config.tolerance
         ratio = _mean_std([ms / md for ms, md, _ in kept if md > 0])[0]
         limit = density.COMPLEMENT_RATIO_LIMIT_H2

@@ -51,37 +51,42 @@ class SampleParameters:
     p: float | None = None
 
     def __post_init__(self) -> None:
+        # Every message starts with the field it names.
         if self.N < 1:
-            raise ValueError(f"N must be positive, got {self.N}")
+            raise ValueError(f"N: must be positive, got {self.N}")
         if self.trial_index < 0:
-            raise ValueError(f"trial_index must be non-negative, got {self.trial_index}")
+            raise ValueError(f"trial_index: must be non-negative, got {self.trial_index}")
         if not 0 <= self.seed < 1 << 64:
             # substream keys on the low 64 bits, so a wider seed would alias
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        decaying = self.c is not None or self.delta is not None
-        if decaying == (self.p is not None):
-            raise ValueError("give either (c, delta) or a fixed p, not both")
-        if decaying:
-            if self.c is None or self.delta is None:
-                raise ValueError("the decaying form needs both c and delta")
-            if self.c <= 0:
-                raise ValueError(f"c must be positive, got {self.c}")
+            raise ValueError(f"seed: must lie in [0, 2**64), got {self.seed}")
+        if self.c is None and self.delta is None:
+            if self.p is None:
+                raise ValueError("p: give either (c, delta) or a fixed p")
+        else:
+            if self.c is None:
+                raise ValueError("c: the decaying form needs both c and delta")
+            if not self.c > 0:
+                raise ValueError(f"c: must be positive, got {self.c}")
+            if self.delta is None:
+                raise ValueError("delta: the decaying form needs both c and delta")
+            if self.p is not None:
+                raise ValueError("p: give either (c, delta) or a fixed p, not both")
             if isinstance(self.delta, float):
-                raise TypeError("delta must be an exact rational (Fraction), not float")
+                raise TypeError("delta: must be an exact rational (Fraction), not float")
             object.__setattr__(self, "delta", Fraction(self.delta))
             if not 0 < self.delta < 1:
-                raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+                raise ValueError(f"delta: must lie in (0, 1), got {self.delta}")
         effective_p(self)  # validated, never clamped
 
 
 def effective_p(params: SampleParameters) -> float:
     """Inclusion probability c * N**(-delta), or the fixed p; must be in (0, 1]."""
     if params.p is not None:
-        p = params.p
+        name, p = "p", params.p
     else:
-        p = params.c * float(params.N) ** (-float(params.delta))
+        name, p = "c", params.c * float(params.N) ** (-float(params.delta))
     if not 0.0 < p <= 1.0:
-        raise ValueError(f"inclusion probability {p} lies outside (0, 1]")
+        raise ValueError(f"{name}: inclusion probability {p} lies outside (0, 1]")
     return p
 
 

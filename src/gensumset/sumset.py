@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -91,9 +90,8 @@ class GenSumsetResult:
     """Membership of a generalized sumset over its full value range [-dN, sN].
 
     packed holds the membership vector as (hN + 8) // 8 little-endian bytes
-    (numpy uint8), with bit n + dN set iff n is generated; bits is the same
-    vector as an int, built on first use.  cardinality + complement_count =
-    hN + 1 always.
+    (numpy uint8), with bit n + dN set iff n is generated.
+    cardinality + complement_count = hN + 1 always.
     """
 
     combo: SignedCombination
@@ -105,10 +103,6 @@ class GenSumsetResult:
     @property
     def span(self) -> int:
         return self.combo.h * self.N + 1
-
-    @cached_property
-    def bits(self) -> int:
-        return int.from_bytes(self.packed.tobytes(), "little")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GenSumsetResult):

@@ -30,10 +30,9 @@ def test_rcount_csv(capsys, tmp_path):
 def test_rcount_stdout_provenance_comment(capsys):
     code, out, _ = _run(capsys, "rcount", "--N", "2", "--s", "1", "--d", "1")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("# {")
-    assert lines[1] == "n,count"
-    assert lines[2] == "-2,1"
+    provenance, table = out.split("\n", 1)
+    assert provenance.startswith("# {")
+    assert table == "n,count\n-2,1\n-1,2\n0,3\n1,2\n2,1\n"
 
 
 def test_constants_json(capsys, tmp_path):
@@ -112,6 +111,40 @@ def test_sample_sumset_xk_pipeline(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["alternating_sum"] == doc["cardinality"] == summary["cardinality"]
+
+
+def test_provenance_config_is_every_flag(capsys, tmp_path):
+    # Each subcommand's provenance echoes all of its parsed flags; an
+    # experiment's echoes its resolved config instead.
+    set_path, out = str(tmp_path / "set.txt"), str(tmp_path / "out")
+    config_path = tmp_path / "mstd.json"
+    config_path.write_text(json.dumps({"kind": "mstd", "N": 20, "trials": 3, "seed": 5,
+                                       "p": 0.5}))
+    for argv, seed, config in [
+        (["sample", "--N", "30", "--p", "0.5", "--seed", "4", "--out", set_path], 4,
+         {"subcommand": "sample", "N": 30, "c": None, "delta": None, "p": 0.5,
+          "seed": 4, "trial": 0, "out": set_path}),
+        (["constants", "--h", "2", "--kmax", "2", "--out", out], None,
+         {"subcommand": "constants", "h": 2, "kmax": 2, "g_c": [], "g_combo": [],
+          "format": "json", "out": out}),
+        (["rcount", "--N", "2", "--s", "1", "--d", "1", "--out", out], None,
+         {"subcommand": "rcount", "N": 2, "s": 1, "d": 1, "format": "csv", "out": out}),
+        (["sumset", "--infile", set_path, "--s", "2", "--d", "0", "--out", out], None,
+         {"subcommand": "sumset", "infile": set_path, "s": 2, "d": 0,
+          "membership_csv": None, "out": out}),
+        (["xk", "--infile", set_path, "--s", "1", "--d", "1", "--out", out], None,
+         {"subcommand": "xk", "infile": set_path, "s": 1, "d": 1, "kmax": None,
+          "out": out}),
+        (["experiment", "--config", str(config_path), "--json-out", out], 5,
+         {"kind": "mstd", "N": [20], "trials": 3, "seed": 5, "combos": [[2, 0], [1, 1]],
+          "c": None, "delta": None, "p": 0.5, "k": 1, "tolerance": 0.1,
+          "bit_budget": 10**9, "fraction_window": [0.0002, 0.0009]}),
+    ]:
+        code, stdout, _ = _run(capsys, *argv)
+        assert code == 0
+        prov = json.loads(stdout.splitlines()[0])
+        assert prov == {"tool": "gensumset", "version": prov["version"], "seed": seed,
+                        "config": config}
 
 
 def test_sample_reproducibility(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -230,10 +229,3 @@ def test_rep_count_vs_full_enumeration_table():
         lo, hi = combo.value_range(N)
         for n in range(lo, hi + 1):
             assert rep_count(n, combo, N) == table.get(n, 0)
-
-
-def test_csv_export():
-    table = rep_counts_all(SignedCombination(1, 1), 2)
-    buf = io.StringIO()
-    table.write_csv(buf)
-    assert buf.getvalue() == "n,count\n-2,1\n-1,2\n0,3\n1,2\n2,1\n"

@@ -99,6 +99,7 @@ def test_config_errors_name_the_field():
         ("N", 100.7),
         ("combos", [[2.0, 0], [1, 1]]),
         ("combos", [[2, False]]),
+        ("kind", ["mstd"]),
     ]:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             config_from_jsonable({**base, field: value})
@@ -385,7 +386,9 @@ def test_b_derived_battery_reports_regenerate(stem):
     assert report.csv_text() == (ROOT / "results" / f"{stem}.csv").read_text()
 
 
-@pytest.mark.parametrize("stem", ["fast_h2", "fast_h3"])
+@pytest.mark.parametrize(
+    "stem", ["fast_h2", "fast_h3", "concentration_h2", "concentration_h3"]
+)
 def test_fast_battery_reports_regenerate(stem):
     # With critical_h2 and critical_h3 above, this pins the large-N sets of
     # sample_set (N = 10^5 and 10^6) and both large-N kernels, the byte fold

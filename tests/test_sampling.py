@@ -27,20 +27,32 @@ def test_effective_p_examples():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
+    # each message starts with the field it names
+    with pytest.raises(ValueError, match="^p: "):
         _params(100)  # no probability given
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p: "):
         _params(100, c=1.0, delta=Fraction(1, 2), p=0.5)  # both forms
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^delta: "):
         _params(100, c=1.0)  # c without delta
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^c: "):
+        _params(100, delta=Fraction(1, 2))  # delta without c
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^c: "):
+            _params(100, c=c, delta=Fraction(1, 2))
+    with pytest.raises(TypeError, match="^delta: "):
         _params(100, c=1.0, delta=0.5)  # float delta
-    with pytest.raises(ValueError):
+    for delta in (Fraction(0), Fraction(1), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="^delta: "):
+            _params(100, c=1.0, delta=delta)
+    with pytest.raises(ValueError, match="^p: "):
         _params(100, p=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^N: "):
         _params(0, p=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trial_index: "):
         _params(100, p=0.5, trial=-1)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="^seed: "):
+            _params(100, seed=seed, p=0.5)
 
 
 def test_determinism_contract():

@@ -123,8 +123,8 @@ def test_monotonicity_in_subsets():
         small = big[keep]
         A, B = SampledSet(N=N, elements=small), SampledSet(N=N, elements=big)
         for combo in (SignedCombination(1, 1), SignedCombination(3, 0)):
-            inside = gen_sumset(A, combo).bits
-            outside = gen_sumset(B, combo).bits
+            inside = int.from_bytes(gen_sumset(A, combo).packed.tobytes(), "little")
+            outside = int.from_bytes(gen_sumset(B, combo).packed.tobytes(), "little")
             assert inside & ~outside == 0  # pointwise containment
 
 
@@ -349,7 +349,7 @@ def test_blocked_popcount_equals_bit_count(length, fill, seed):
 def _values_by_int_walk(result):
     # The former values(): walk the set bits of the int.
     lo = -result.combo.d * result.N
-    bits, out = result.bits, []
+    bits, out = int.from_bytes(result.packed.tobytes(), "little"), []
     while bits:
         low = bits & -bits
         out.append(lo + low.bit_length() - 1)
@@ -360,7 +360,8 @@ def _values_by_int_walk(result):
 def _membership_csv_by_int_walk(result):
     # The former write_membership_csv: one shift of the int per row.
     lo = -result.combo.d * result.N
-    rows = [f"{lo + offset},{(result.bits >> offset) & 1}\n"
+    bits = int.from_bytes(result.packed.tobytes(), "little")
+    rows = [f"{lo + offset},{(bits >> offset) & 1}\n"
             for offset in range(result.span)]
     return "n,member\n" + "".join(rows)
 
