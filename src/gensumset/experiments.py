@@ -149,7 +149,8 @@ class ExperimentConfig:
         if self.c is None and self.delta is None:
             raise ConfigError("c: a positive coefficient is required")
         # The regime is checked before p(N) <= 1, so that a delta in the wrong
-        # regime is named as such; SampleParameters names a malformed delta.
+        # regime is named as such.  A delta that is not an exact rational in
+        # (0, 1) passes here, and SampleParameters names it.
         h = self.combos[0].h
         try:
             regime = density.classify_regime(h, self.delta)
