@@ -16,6 +16,7 @@ from gensumset import (
     rep_counts_all,
     stars_and_bars,
 )
+from gensumset.cli import main
 
 
 def test_signed_combination_invariants():
@@ -229,3 +230,11 @@ def test_rep_count_vs_full_enumeration_table():
         lo, hi = combo.value_range(N)
         for n in range(lo, hi + 1):
             assert rep_count(n, combo, N) == table.get(n, 0)
+
+
+def test_csv_export(tmp_path, capsys):
+    # the n,count CSV of rep_counts_all, as `gensumset rcount` writes it to a file
+    out_path = tmp_path / "counts.csv"
+    assert main(["rcount", "--N", "2", "--s", "1", "--d", "1", "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert out_path.read_text() == "n,count\n-2,1\n-1,2\n0,3\n1,2\n2,1\n"
