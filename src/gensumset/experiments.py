@@ -129,9 +129,11 @@ class ExperimentConfig:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
         for name, values in (("N", self.Ns), ("trials", [self.trials]), ("seed", [self.seed]),
                              ("k", [self.k]), ("bit_budget", [self.bit_budget])):
-            bad = [value for value in values if type(value) is not int]
-            if bad:  # a float or a bool is refused, never truncated
-                raise ConfigError(f"{name}: expected an integer, got {bad[0]!r}")
+            try:
+                for value in values:
+                    _integer(value)
+            except TypeError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
         if not self.Ns:
             raise ConfigError("N: need at least one ground-set size")
         if self.trials < 1:
@@ -247,6 +249,8 @@ def config_to_jsonable(config: ExperimentConfig) -> dict:
 
 
 def config_from_jsonable(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
     table = {_key(f): f for f in fields(ExperimentConfig)}
     unknown = set(data) - set(table)
     if unknown:

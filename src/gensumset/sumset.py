@@ -18,7 +18,20 @@ alone; all three give the same packed bytes.
   2.4.6, h = 2 and 3, p from 0.001 to 1/2): the byte fold ran at 0.5-1.0x
   the big-int fold's speed at N = 2^14, at 1.0-2.3x at 2^15 and at
   1.8-3.0x at 2^16, and at N = 10^6 it is 1.7x (|A| ~ 12) to 8-10x
-  (|A| ~ 15.8k) faster.
+  (|A| ~ 15.8k) faster.  A shift ORs only into the windows of the output
+  that may still hold a zero bit, at first the whole output.  A fold that
+  expects at least _WINDOW_MIN_COVERS = 32 covers per output bit, bounded
+  from integers known before it (|A| shifts of a j-fold sum that holds at
+  most min(|A|^j, jN + 1) of its jN + 1 values), narrows them whenever its
+  ORs since the last narrowing reach 32 times their size: whole 16 KB
+  blocks of ones are cut out, and each part is trimmed to the bytes below
+  0xFF at its ends.  That is exact, since OR never clears a bit.  A
+  slow-decay sumset misses values only near its ends, so at N = 10^6 and
+  p = N^(-3/10) (|A| ~ 15.9k, about 250 covers) a fold ORs 0.17-0.24 GB,
+  not 2.0 GB, and takes 35-53 ms, not 117-132 ms, in a fresh process (2
+  cores, numpy 2.4.6).  Critical-decay folds (|A| ~ 200 at N = 10^6, at
+  most 4 covers) stay below the gate and OR every whole copy: their
+  sumsets have gaps all over and never fill a block.
 - From 2^15 up, while 17|A|^h <= (4h - 3)N/8 ("enumerate"), the sums are
   enumerated instead: each fold takes the outer sum of the distinct values
   so far with the sorted elements (or their reflection), sorts it and
@@ -77,6 +90,9 @@ BIT_SLICE_MAX_N = 512
 _ALL_SETS = (1 << 64) - 1
 _FOLD_BYTES = 1 << 17  # bound on the term buffer of one _fold_words block
 _POPCOUNT_WORDS = 1 << 13  # 64 KB of words per block of _popcount
+_WINDOW_BLOCK = 1 << 14  # bytes per block that a narrowing tests for all ones
+_WINDOW_REFRESH = 32  # bytes a windowed fold ORs per window byte between two narrowings
+_WINDOW_MIN_COVERS = 32  # expected covers of an output bit from which a fold is windowed
 _M1, _M2, _M4, _H01 = (np.uint64(0x0101010101010101 * m) for m in (0x55, 0x33, 0x0F, 1))
 _CSV_ROWS = 1 << 16  # membership rows that write_membership_csv formats at once
 
@@ -178,13 +194,47 @@ def _shift_or(bits: int, shifts: list[int]) -> int:
     return out
 
 
-def _shift_or_bytes(acc: np.ndarray, shifts: list[int]) -> np.ndarray:
+def _open_windows(out: np.ndarray, windows: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The parts of the byte windows [lo, hi) of out that still hold a zero bit.
+
+    A window loses each whole _WINDOW_BLOCK block of out that is all ones,
+    found by one uint64 compare over its blocks.  Each part left is trimmed
+    to its first byte below 0xFF, and to its last one when that lies in its
+    last block (else the part keeps its end, which is as exact).
+    """
+    size = _WINDOW_BLOCK
+    blocks = out[: out.size - out.size % size].view("<u8").reshape(-1, size // 8)
+    parts = []
+    for lo, hi in windows:
+        first = lo // size
+        full = (blocks[first : (hi - 1) // size + 1] == _ALL_SETS).all(axis=1)
+        for k in (first + np.flatnonzero(full)).tolist():
+            if lo < k * size:
+                parts.append((lo, k * size))
+            lo = max(lo, (k + 1) * size)
+        if lo < hi:
+            parts.append((lo, hi))
+    kept = []
+    for lo, hi in parts:
+        zero = out[lo:hi] != 0xFF
+        i = int(zero.argmax())
+        if zero[i]:  # an argmax over a reversed view reads all of it: take the last block
+            kept.append((lo + i, hi - int(zero[-size:][::-1].argmax())))
+    return kept
+
+
+def _shift_or_bytes(acc: np.ndarray, shifts: list[int], windowed: bool = False) -> np.ndarray:
     """_shift_or on a vector packed as little-endian bytes (numpy uint8).
 
     Shifts are grouped by e & 7.  For each residue r in use, the copy of acc
     shifted by r bits is built once, word-wise, and shift e ORs it in place
     at byte offset e >> 3, so no shift allocates and one copy is alive at a
-    time.
+    time.  Each OR covers only its overlap with the windows of the output
+    that may still hold a zero bit, at first the whole output.  When
+    windowed, _open_windows narrows them each time the ORs since the last
+    narrowing reach _WINDOW_REFRESH times their size: a byte that is 0xFF
+    cannot change under OR.  The top bit of the output is never set, so a
+    window always remains.
     """
     n = acc.size
     base = np.zeros((n + 8) // 8, dtype="<u8")  # n + 1 bytes: room for 7 more bits
@@ -195,6 +245,8 @@ def _shift_or_bytes(acc: np.ndarray, shifts: list[int]) -> np.ndarray:
     for e in shifts:
         offsets[e & 7].append(e >> 3)
     out = np.zeros(n + (max(shifts) >> 3) + 1, dtype=np.uint8)
+    windows = [(0, out.size)]
+    ored, due = 0, _WINDOW_REFRESH * out.size if windowed else math.inf
     for r, starts in enumerate(offsets):
         if not starts:
             continue
@@ -202,8 +254,16 @@ def _shift_or_bytes(acc: np.ndarray, shifts: list[int]) -> np.ndarray:
         if r:
             row[1:] |= base[:-1] >> (64 - r)
         for b in starts:
-            view = out[b : b + n + 1]
-            np.bitwise_or(view, copy, out=view)
+            end = b + n + 1
+            for lo, hi in windows:
+                if lo < end and b < hi:
+                    lo, hi = max(lo, b), min(hi, end)
+                    view = out[lo:hi]
+                    np.bitwise_or(view, copy[lo - b : hi - b], out=view)
+                    ored += hi - lo
+            if ored > due:
+                windows = _open_windows(out, windows)
+                ored, due = 0, _WINDOW_REFRESH * sum(hi - lo for lo, hi in windows)
     return out
 
 
@@ -309,8 +369,12 @@ def gen_sumset(
         packed = np.frombuffer(acc.to_bytes(nbytes, "little"), dtype=np.uint8)
         return _result(combo, A.N, packed, acc.bit_count())
     packed = A.packed_bits()
-    for shifts in folds:
-        packed = _shift_or_bytes(packed, shifts)
+    for j, shifts in enumerate(folds, 1):
+        # |shifts| copies of a j-fold sum that holds at most min(|A|^j, jN + 1)
+        # of its jN + 1 values: the expected covers of an output bit, bounded.
+        values = j * A.N + 1
+        windowed = len(shifts) * min(A.size**j, values) >= _WINDOW_MIN_COVERS * values
+        packed = _shift_or_bytes(packed, shifts, windowed)
     if packed.size < nbytes:  # A's extremes lie well inside [0, N]
         packed = np.concatenate([packed, np.zeros(nbytes - packed.size, dtype=np.uint8)])
     packed = packed[:nbytes]

@@ -251,6 +251,7 @@ def test_criterion_07_fast_decay_ratios():
 
 def test_criterion_08_slow_decay_h2():
     t0 = time.perf_counter()
+    # The config of scripts/configs/slow_h2.json, so the report is the battery's.
     config = ExperimentConfig(
         kind="slow-h2",
         Ns=(10**6,),
@@ -258,8 +259,13 @@ def test_criterion_08_slow_decay_h2():
         seed=123,
         c=1.0,
         delta=Fraction(3, 10),
+        tolerance=0.1,
     )
     report = run_experiment(config, workers=WORKERS)
+    battery_ok = (
+        report.to_json() == (RESULTS / "slow_h2.json").read_text()
+        and report.csv_text() == (RESULTS / "slow_h2.csv").read_text()
+    )
     sums_row = next(r for r in report.rows if (r.s, r.d) == (2, 0))
     p = float(10**6) ** -0.3  # c * N**-delta
     asymptote = missing_sums_asymptote_h2(p)
@@ -268,14 +274,15 @@ def test_criterion_08_slow_decay_h2():
     law_check = next(
         c for c in report.checks if c.name.startswith("missing-frequency-law")
     )
-    ok = vs_asymptote <= 0.10 and ratio_check.passed and law_check.passed
+    ok = vs_asymptote <= 0.10 and ratio_check.passed and law_check.passed and battery_ok
     _gate(
         "08 slow-decay-h2",
         ok,
         f"missing sums {sums_row.mean:.1f} vs 4/p^2={asymptote:.1f} "
         f"(off {vs_asymptote:.2%} of 10%); sum/diff complement ratio "
         f"{ratio_check.value:.4f} vs 2; per-value law within 5 standard errors "
-        f"at all 20 probes: {law_check.passed}",
+        f"at all 20 probes: {law_check.passed}; report equal to "
+        f"results/slow_h2.{{json,csv}}: {battery_ok}",
         t0,
         600,
     )

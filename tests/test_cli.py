@@ -250,6 +250,13 @@ def test_exit_code_2_on_config_errors(capsys, tmp_path):
         assert code == 2, (field, value)
         assert f"configuration error: {field}: " in err
         assert out == ""
+    # a config document that is not a JSON object exits 2, saying so
+    for document, name in (("5", "int"), ("null", "NoneType"), ('["kind"]', "list")):
+        config_path.write_text(document)
+        code, out, err = _run(capsys, "experiment", "--config", str(config_path))
+        assert code == 2, document
+        assert f"configuration error: config: expected a JSON object, got {name}\n" in err
+        assert out == ""
     config_path.write_text(json.dumps(fast))
     code, out, err = _run(capsys, "experiment", "--config", str(config_path),
                           "--seed", "-1")

@@ -1,6 +1,8 @@
 import io
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -246,13 +248,18 @@ def test_kernel_matches_naive_hypothesis(elements, combo):
 @settings(max_examples=150, deadline=None)
 def test_byte_fold_matches_big_int_fold(length, data):
     # Vectors whose bit length is not a whole number of bytes, and shift
-    # lists that hit every residue mod 8.
-    bits = data.draw(st.integers(0, (1 << (length - 1)) - 1)) | 1 << (length - 1)
+    # lists that hit every residue mod 8.  Windowed folds get one-word
+    # blocks and frequent narrowings, so short vectors cut and trim windows;
+    # all-ones vectors fill bytes at once.
+    top = 1 << (length - 1)
+    bits = data.draw(st.one_of(st.integers(0, top - 1), st.just(top - 1))) | top
     shifts = [8 * data.draw(st.integers(0, 40)) + r for r in range(8)]
     shifts += data.draw(st.lists(st.integers(0, 330), max_size=12))
     shifts = data.draw(st.permutations(shifts))
     packed = np.frombuffer(bits.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
-    folded = _shift_or_bytes(packed, shifts)
+    with patch.object(sumset, "_WINDOW_BLOCK", 8), \
+            patch.object(sumset, "_WINDOW_REFRESH", data.draw(st.sampled_from([0, 1, 4]))):
+        folded = _shift_or_bytes(packed, shifts, data.draw(st.booleans()))
     assert int.from_bytes(folded.tobytes(), "little") == _shift_or(bits, shifts)
 
 
@@ -322,6 +329,116 @@ def test_enumeration_equals_naive_and_byte_fold(N, monkeypatch):
             assert enumerated == _forced("bytes", A, combo, monkeypatch)
             assert enumerated == gen_sumset_naive(A, combo, tuple_budget=10**7)
             assert enumerated.packed.size == (combo.h * N + 8) // 8
+
+
+class _CountingNumpy:
+    """numpy as the sumset module sees it, counting the bytes bitwise_or writes."""
+
+    def __init__(self):
+        self.or_bytes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bitwise_or(self, *args, out):
+        self.or_bytes += out.nbytes
+        return np.bitwise_or(*args, out=out)
+
+
+def _spy_folds(monkeypatch):
+    """Patch in counters; each byte fold appends (windowed, bytes ORed, plain bytes)."""
+    counter, folds = _CountingNumpy(), []
+
+    def spy(acc, shifts, windowed=False):
+        before = counter.or_bytes
+        out = _shift_or_bytes(acc, shifts, windowed)
+        folds.append((windowed, counter.or_bytes - before, len(shifts) * (acc.size + 1)))
+        return out
+
+    monkeypatch.setattr(sumset, "np", counter)
+    monkeypatch.setattr(sumset, "_shift_or_bytes", spy)
+    return folds
+
+
+def _documented_gate(N, size, combo):
+    # The window gate of the sumset module docstring, written out
+    # independently: fold j adds |A| shifted copies to the j-fold partial
+    # sum, and is windowed when |A| * min(1, |A|^j / (jN + 1)) >= 32.
+    return [size * min(1, Fraction(size**j, j * N + 1)) >= 32 for j in range(1, combo.h)]
+
+
+def _combos(*pairs):
+    return [SignedCombination(s, d) for s, d in pairs]
+
+
+@pytest.mark.parametrize(
+    "p, combos",
+    [
+        (0.05, _combos((2, 2), (2, 1))),
+        (0.2, _combos((3, 0), (2, 2))),
+        (0.5, _combos((2, 0), (2, 1))),
+        (0.9, _combos((1, 1), (3, 0))),
+        (1.0, _combos((2, 0), (1, 1))),
+    ],
+)
+@pytest.mark.parametrize("N", [BYTE_FOLD_MIN_N, BYTE_FOLD_MIN_N + 1, 10**5])
+def test_windowed_fold_equals_big_int_fold_on_dense_sets(N, p, combos, monkeypatch):
+    # Dense sets holding 0 and N: every fold is windowed and fills its
+    # middle.  At N = 10^5, where the output has whole blocks to cut, only
+    # the first combo runs, to keep the big-int oracle affordable.
+    A = sample_set(SampleParameters(N=N, seed=N, p=p))
+    A = _set(sorted({0, N, *A.elements.tolist()}), N)
+    for combo in combos[:1] if N == 10**5 else combos:
+        expected = _forced("int", A, combo, monkeypatch)
+        folds = _spy_folds(monkeypatch)
+        result = gen_sumset(A, combo)
+        monkeypatch.undo()
+        assert result == expected
+        assert [fold[0] for fold in folds] == [True] * (combo.h - 1)
+        assert _documented_gate(N, A.size, combo) == [True] * (combo.h - 1)
+        if A.size**combo.h <= 4 * 10**6:
+            assert result == gen_sumset_naive(A, combo)
+
+
+@pytest.mark.parametrize(
+    "N, size",
+    [
+        (BYTE_FOLD_MIN_N, 1024),  # |A|^2 / (N + 1) just below 32
+        (BYTE_FOLD_MIN_N, 1025),  # and just above
+        (10**5, 300),  # h = 3: a plain first fold, then a windowed one
+    ],
+)
+def test_window_gate_sides_and_plain_folds(N, size, monkeypatch):
+    # The gate follows the documented rule; below it a fold does one whole
+    # OR per shift, as without windows.  The big-int fold is the oracle.
+    rng = np.random.default_rng(size)
+    inner = rng.choice(np.arange(1, N), size=size - 2, replace=False)
+    A = _set([0, N, *inner.tolist()], N)
+    for combo in _combos((2, 0), (1, 1), (2, 1), (3, 0), (2, 2)):
+        expected = _forced("int", A, combo, monkeypatch)
+        folds = _spy_folds(monkeypatch)
+        result = gen_sumset(A, combo)
+        monkeypatch.undo()
+        assert result == expected
+        if combo.h == 2:
+            assert result == gen_sumset_naive(A, combo)
+        windowed = [fold[0] for fold in folds]
+        assert windowed == _documented_gate(N, size, combo)
+        assert windowed[0] == (size == 1025)
+        assert all(windowed or ored == plain for windowed, ored, plain in folds)
+
+
+def test_windowed_fold_skips_most_bytes_at_slow_decay(monkeypatch):
+    # A slow-decay sumset misses values only near its two ends, so a
+    # windowed fold ORs under a quarter of the plain fold's bytes.
+    N = 10**6
+    A = sample_set(SampleParameters(N=N, seed=123, c=1.0, delta=Fraction(3, 10)))
+    for combo in _combos((2, 0), (1, 1)):
+        folds = _spy_folds(monkeypatch)
+        gen_sumset(A, combo)
+        monkeypatch.undo()
+        [(windowed, ored, plain)] = folds
+        assert windowed and ored < plain / 4, (combo, ored, plain)
 
 
 @given(
