@@ -394,8 +394,8 @@ def test_windowed_fold_equals_big_int_fold_on_dense_sets(N, p, combos, monkeypat
         result = gen_sumset(A, combo)
         monkeypatch.undo()
         assert result == expected
-        assert [fold[0] for fold in folds] == [True] * (combo.h - 1)
-        assert _documented_gate(N, A.size, combo) == [True] * (combo.h - 1)
+        sides = [fold[0] for fold in folds]
+        assert sides == _documented_gate(N, A.size, combo) == [True] * (combo.h - 1)
         if A.size**combo.h <= 4 * 10**6:
             assert result == gen_sumset_naive(A, combo)
 
@@ -422,9 +422,9 @@ def test_window_gate_sides_and_plain_folds(N, size, monkeypatch):
         assert result == expected
         if combo.h == 2:
             assert result == gen_sumset_naive(A, combo)
-        windowed = [fold[0] for fold in folds]
-        assert windowed == _documented_gate(N, size, combo)
-        assert windowed[0] == (size == 1025)
+        sides = [fold[0] for fold in folds]
+        assert sides == _documented_gate(N, size, combo)
+        assert sides[0] == (size == 1025)
         assert all(windowed or ored == plain for windowed, ored, plain in folds)
 
 
