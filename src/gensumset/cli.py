@@ -26,7 +26,13 @@ from .combinat import (
     rep_counts_all,
 )
 from .density import b_constant, g_series
-from .experiments import ConfigError, config_to_jsonable, load_config, run_experiment
+from .experiments import (
+    ConfigError,
+    config_to_jsonable,
+    load_config,
+    run_experiment,
+    validate_workers,
+)
 from .sampling import SampledSet, SampleParameters, sample_set
 from .sumset import gen_sumset, tuple_statistics
 
@@ -170,6 +176,7 @@ def _cmd_experiment(args) -> int:
 
         config = replace(config, seed=args.seed)
     config.validate()
+    validate_workers(args.workers)
     # An experiment's input is its resolved config, not the flags that named it.
     prov = {**_provenance(args, config.seed), "config": config_to_jsonable(config)}
     print(json.dumps(prov, sort_keys=True))
@@ -259,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel trial workers; output is identical for any value")
+                   help="parallel trial worker processes (at least 1); each draws a "
+                        "large trial on cores // workers threads; output is identical "
+                        "for any value")
     p.add_argument("--json-out", help="write the JSON report here")
     p.add_argument("--csv-out", help="write the per-N aggregate CSV here")
     p.set_defaults(func=_cmd_experiment)

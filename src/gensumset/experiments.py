@@ -7,7 +7,10 @@ one integer record, (|A|, |A_combo| per combo, bitmask of probe values
 missing from the first sumset).  Up to sumset.BIT_SLICE_MAX_N the trials of
 a chunk are sampled and folded in batches (sample_members, batch_records);
 above it, trial by trial (sample_set, gen_sumset).  The records are the
-same either way.  An ordered map yields the records in trial order, and
+same either way.  A worker draws each large trial's stream on
+cores // workers threads (sample_set's threads), so at one worker a trial
+uses every core the process may run on; the set is the same on any number
+of threads.  An ordered map yields the records in trial order, and
 each kind turns one N's records into rows, checks and extras.  Records are
 per trial, so neither the chunking nor the worker count can change a
 report.  mstd folds exact integer moments as records arrive;
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
@@ -393,15 +397,16 @@ _CHUNK_TRIALS = 4096
 _BATCH_BYTES = 1 << 16
 
 
-def _trial_records(config, N, combos, probes, trials: range) -> list[tuple[int, ...]]:
+def _trial_records(config, N, combos, probes, trials: range,
+                   threads: int = 1) -> list[tuple[int, ...]]:
     """One record per trial: (|A|, |A_combo| for each combo, missing-probe mask).
 
     Bit j of the bitmask is set when probes[j] is missing from the first
     combo's sumset.  Up to BIT_SLICE_MAX_N, batches of trials are sampled
     and folded together by sample_members and batch_records.  Above it,
-    each trial calls sample_set and gen_sumset, and each sumset is reduced
-    to integers and released before the next is computed, so one membership
-    vector is alive at a time.
+    each trial calls sample_set on `threads` threads and gen_sumset, and
+    each sumset is reduced to integers and released before the next is
+    computed, so one membership vector is alive at a time.
     """
     params = config._sample_params(N)
     records = []
@@ -413,7 +418,7 @@ def _trial_records(config, N, combos, probes, trials: range) -> list[tuple[int, 
             records += batch_records(sample_members(params, batch), combos, probes)
         return records
     for t in trials:
-        A = sample_set(replace(params, trial_index=t))
+        A = sample_set(replace(params, trial_index=t), threads=threads)
         record = [A.size]
         missing = 0
         for i, combo in enumerate(combos):
@@ -427,12 +432,12 @@ def _trial_records(config, N, combos, probes, trials: range) -> list[tuple[int, 
     return records
 
 
-def _records(config, workers, N, combos, probes=()):
+def _records(config, workers, threads, N, combos, probes=()):
     """Yield the record of every trial at ground-set size N, in trial order."""
     size = max(1, min(_CHUNK_TRIALS, _CHUNK_DRAWS // (N + 1)))
     T = config.trials
     chunks = [range(t, min(t + size, T)) for t in range(0, T, size)]
-    measure = partial(_trial_records, config, N, combos, probes)
+    measure = partial(_trial_records, config, N, combos, probes, threads=threads)
     if workers <= 1 or len(chunks) <= 1:
         for chunk in chunks:
             yield from measure(chunk)
@@ -619,8 +624,26 @@ def _b_convergence(config):
     return rows, checks, {"gaps": gaps}
 
 
+def validate_workers(workers: int) -> None:
+    """Refuse a worker count that is not an integer of at least 1."""
+    if type(workers) is not int or workers < 1:
+        raise ConfigError(f"workers: must be at least 1, got {workers!r}")
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Validate the config and run its experiment; pure in (config, seed)."""
+    """Validate the config and run its experiment; pure in (config, seed).
+
+    The workers split the trials, and each draws a large trial's stream on
+    cores // workers threads; neither number reaches the report.
+    """
+    validate_workers(workers)
     config.validate()
     if config.kind == "b-convergence":
         rows, checks, extras = _b_convergence(config)
@@ -632,7 +655,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
             if h * N + 1 > config.bit_budget:
                 raise BudgetError(f"N: {N} needs {h * N + 1} bits for h={h}, "
                                   f"exceeding the budget of {config.bit_budget}")
-        records = partial(_records, config, max(1, int(workers)))
+        threads = max(1, _cores() // workers)
+        records = partial(_records, config, workers, threads)
         rows, checks, extras = _SUMMARIES[config.kind](config, records)
         all_pass = all(x.passed for x in (*rows, *checks) if x.passed is not None)
     return ExperimentReport(

@@ -262,6 +262,12 @@ def test_exit_code_2_on_config_errors(capsys, tmp_path):
                           "--seed", "-1")
     assert code == 2
     assert "configuration error: seed: " in err and out == ""
+    # so does a worker count below 1, which used to run as 1
+    for workers in ("0", "-5"):
+        code, out, err = _run(capsys, "experiment", "--config", str(config_path),
+                              "--workers", workers)
+        assert code == 2, workers
+        assert "configuration error: workers: must be at least 1" in err and out == ""
 
 
 def test_exit_code_2_on_unknown_flags():

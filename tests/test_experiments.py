@@ -399,6 +399,32 @@ def test_fast_battery_reports_regenerate(stem):
     assert report.csv_text() == (ROOT / "results" / f"{stem}.csv").read_text()
 
 
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("stem", ["fast_h3", "critical_h3"])
+def test_reports_regenerate_with_each_trial_drawn_on_several_threads(stem, cores, monkeypatch):
+    # At one worker each large trial's stream is drawn on cores // 1
+    # threads; the sets, and so the checked-in reports, do not change.
+    drawn_on = []
+
+    def spy(params, threads):
+        drawn_on.append(threads)
+        return sample_set(params, threads=threads)
+
+    monkeypatch.setattr(experiments, "_cores", lambda: cores)
+    monkeypatch.setattr(experiments, "sample_set", spy)
+    data = json.loads((ROOT / "scripts" / "configs" / f"{stem}.json").read_text())
+    report = run_experiment(config_from_jsonable(data), workers=1)
+    assert report.to_json() == (ROOT / "results" / f"{stem}.json").read_text()
+    assert report.csv_text() == (ROOT / "results" / f"{stem}.csv").read_text()
+    assert drawn_on == [cores] * data["trials"]
+
+
+def test_workers_must_be_at_least_one():
+    for workers in (0, -5, 1.5, True):
+        with pytest.raises(ConfigError, match="^workers: must be at least 1"):
+            run_experiment(_MSTD, workers=workers)
+
+
 @pytest.mark.parametrize("chunk_trials", [1, 63, 64, 65])
 def test_chunk_size_never_reaches_a_report(chunk_trials, monkeypatch):
     monkeypatch.setattr(experiments, "_CHUNK_TRIALS", chunk_trials)

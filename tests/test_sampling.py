@@ -1,5 +1,8 @@
 import io
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gensumset import SampledSet, SampleParameters, effective_p, sample_set
+from gensumset import sampling
 from gensumset.sampling import MEMBER_CHUNK, SAMPLE_CHUNK, sample_members, substream
 
 
@@ -157,16 +161,97 @@ _ORACLE_PS = [1.0, 1.0 - 2.0**-53, 0.5, 2.0**-53, 0.01,
 
 
 @pytest.mark.parametrize(
-    "size", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 10**6 + 1]
+    "size",
+    [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 3, 10**6 + 1],
 )
 def test_chunked_draws_equal_one_draw(size):
-    # Comparing raw words chunk by chunk continues one stream, so the set is
-    # the one a single draw of N+1 doubles gives against p.
-    for p in _ORACLE_PS:
-        for t in range(3):
-            A = sample_set(_params(size - 1, seed=11, trial=t, p=p))
-            one_draw = np.flatnonzero(substream(11, t).random(size) < p)
-            assert np.array_equal(A.elements, one_draw)
+    # Comparing raw words chunk by chunk, on one thread or on several that
+    # each advance their own Philox to the chunks they claim, continues one
+    # stream, so the set is the one a single draw of N+1 doubles gives
+    # against p.
+    for t in (0, 1, 2**64 - 1):
+        one_draw = substream(11, t).random(size)
+        for p in _ORACLE_PS:
+            expected = np.flatnonzero(one_draw < p)
+            for threads in (1, 2, 3, 5) if t != 1 else (1,):
+                A = sample_set(_params(size - 1, seed=11, trial=t, p=p), threads=threads)
+                assert np.array_equal(A.elements, expected), (p, t, threads)
+
+
+class _SlowPhilox:
+    """A trial's Philox whose draws sleep, noting the thread that drew them."""
+
+    def __init__(self, bitgen, drawn_by, delay):
+        self._bitgen = bitgen
+        self._drawn_by = drawn_by
+        self._delay = delay
+
+    def advance(self, blocks):
+        self._bitgen.advance(blocks)
+
+    def random_raw(self, size):
+        self._drawn_by.append(threading.get_ident())
+        time.sleep(self._delay)  # lets the other threads claim chunks
+        return self._bitgen.random_raw(size)
+
+
+def _slow_substream(monkeypatch, delay=0.0, fail=lambda: False):
+    """Patch sampling.substream to hand out _SlowPhilox generators.
+
+    A thread for which fail() is true raises before it draws anything.
+    Returns the list of thread ids, one per chunk drawn.
+    """
+    drawn_by = []
+
+    class Stream:
+        def __init__(self, seed, t):
+            if fail():
+                raise RuntimeError("injected sampler fault")
+            self.bit_generator = _SlowPhilox(substream(seed, t).bit_generator, drawn_by, delay)
+
+    monkeypatch.setattr(sampling, "substream", Stream)
+    return drawn_by
+
+
+def test_small_chunks_interleave_between_threads(monkeypatch):
+    # 16-word chunks, 4 Philox blocks each, claimed by up to 5 threads on a
+    # short switch interval: each chunk is drawn exactly once, and the set
+    # is still the one-draw set.
+    monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for size, threads in ((16 * 40, 2), (16 * 40 + 1, 3), (16 * 53 + 7, 5)):
+            drawn_by = _slow_substream(monkeypatch, delay=1e-4)
+            for p in (0.5, 0.01):
+                A = sample_set(_params(size - 1, seed=9, trial=4, p=p), threads=threads)
+                one_draw = np.flatnonzero(substream(9, 4).random(size) < p)
+                assert np.array_equal(A.elements, one_draw)
+            assert len(set(drawn_by)) > 1  # chunks were drawn on more than one thread
+            assert len(drawn_by) == 2 * -(-size // 16)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_fault_in_any_thread_is_raised_and_no_helper_outlives_the_call(monkeypatch):
+    params = _params(4 * SAMPLE_CHUNK, seed=2, trial=1, p=0.01)
+    before = threading.active_count()
+    assert sample_set(params, threads=3) == sample_set(params)
+    assert threading.active_count() == before
+    caller = threading.get_ident()
+    # A helper's fault is raised, not returned as a short set.
+    _slow_substream(monkeypatch, fail=lambda: threading.get_ident() != caller)
+    with pytest.raises(RuntimeError, match="injected sampler fault"):
+        sample_set(params, threads=3)
+    assert threading.active_count() == before
+    # The calling thread's own fault is raised after the helpers, still
+    # drawing slowly, have been joined.
+    drawn_by = _slow_substream(monkeypatch, delay=0.05,
+                               fail=lambda: threading.get_ident() == caller)
+    with pytest.raises(RuntimeError, match="injected sampler fault"):
+        sample_set(params, threads=3)
+    assert threading.active_count() == before
+    assert caller not in drawn_by and len(drawn_by) <= 4
 
 
 def test_raw_threshold_is_exact_at_each_double():
