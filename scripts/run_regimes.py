@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Run the standard experiment battery and write reports to results/.
 
-Usage: python scripts/run_regimes.py [--quick] [--workers W] [--only KIND ...]
+Usage: python scripts/run_regimes.py [--quick | --check] [--workers W] [--only KIND ...]
 
   --quick    shrink every config (smaller N, fewer trials) for a fast sanity
              sweep; full-size runs take a few minutes each
+  --check    write the reports to a temporary directory instead, compare
+             their bytes with results/, name each stem that differs and
+             exit 1 if any does
   --workers  parallel trial workers (output is identical for any value)
   --only     run just the named config stems, e.g. --only fast_h3 mstd
 
@@ -15,6 +18,7 @@ verdict on stdout.
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,13 +45,13 @@ QUICK_OVERRIDES = {
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
+    parser.add_argument("--check", action="store_true")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--only", nargs="*", default=None)
     parser.add_argument("--results", default="results")
     args = parser.parse_args()
-
-    out_dir = Path(args.results)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.check and args.quick:
+        parser.error("--check compares full-size reports with results/; drop --quick")
 
     stems = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
     if args.only:
@@ -57,6 +61,31 @@ def main() -> int:
             return 2
         stems = args.only
 
+    with tempfile.TemporaryDirectory() as scratch:
+        out_dir = Path(scratch if args.check else args.results)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        failures = _run(stems, args, out_dir)
+        if args.check:
+            differ = [stem for stem in stems if _differs(stem, out_dir, Path(args.results))]
+            for stem in differ:
+                print(f"{stem}: differs from {args.results}/", file=sys.stderr)
+            print(f"{len(stems) - len(differ)}/{len(stems)} reports byte-identical "
+                  f"to {args.results}/")
+            return 1 if differ else 0
+    print(f"\n{len(stems) - failures}/{len(stems)} configs passed")
+    return 1 if failures else 0
+
+
+def _differs(stem: str, new_dir: Path, old_dir: Path) -> bool:
+    for name in (f"{stem}.json", f"{stem}.csv"):
+        old = old_dir / name
+        if not old.is_file() or old.read_bytes() != (new_dir / name).read_bytes():
+            return True
+    return False
+
+
+def _run(stems, args, out_dir: Path) -> int:
+    """Run each config, write its reports to out_dir; the number that failed."""
     failures = 0
     for stem in stems:
         data = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
@@ -79,8 +108,7 @@ def main() -> int:
             )
         if not report.all_pass:
             failures += 1
-    print(f"\n{len(stems) - failures}/{len(stems)} configs passed")
-    return 1 if failures else 0
+    return failures
 
 
 if __name__ == "__main__":

@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel trial worker processes (at least 1); each draws a "
-                        "large trial on cores // workers threads; output is identical "
+                        "large trial on cores // processes threads; output is identical "
                         "for any value")
     p.add_argument("--json-out", help="write the JSON report here")
     p.add_argument("--csv-out", help="write the per-N aggregate CSV here")

@@ -6,15 +6,17 @@ sub-stream (seed, t), computes the kind's generalized sumsets and returns
 one integer record, (|A|, |A_combo| per combo, bitmask of probe values
 missing from the first sumset).  Up to sumset.BIT_SLICE_MAX_N the trials of
 a chunk are sampled and folded in batches (sample_members, batch_records);
-above it, trial by trial (sample_set, gen_sumset).  The records are the
-same either way.  A worker draws each large trial's stream on
-cores // workers threads (sample_set's threads), so at one worker a trial
-uses every core the process may run on; the set is the same on any number
-of threads.  An ordered map yields the records in trial order, and
-each kind turns one N's records into rows, checks and extras.  Records are
-per trial, so neither the chunking nor the worker count can change a
-report.  mstd folds exact integer moments as records arrive;
-every other statistic is summarized by compensated two-pass summation.
+above it, one sumset.trial_record call a trial folds a prefix its combos
+share, A + A for (2,1) and (3,0), once.  The records are the same either
+way.  The byte folds of one N reuse one FoldBuffers per process (per chunk
+in a pool worker), released with the N's last record, before the summaries
+and the exact laws run.  Each process draws a large trial's stream on
+cores // processes threads (sample_set's threads); the set is the same on
+any number of threads.  An ordered map yields the records in trial order,
+and each kind turns one N's records into rows, checks and extras.  Records
+are per trial, so neither the chunking nor the worker count can change a
+report.  mstd folds exact integer moments as records arrive; every other
+statistic is summarized by compensated two-pass summation.
 
 Predicted values come from direct density calls; tolerances live in the
 config because the limit theorems carry no convergence rates, making pass
@@ -35,7 +37,8 @@ from . import density
 from ._version import VERSION
 from .combinat import BudgetError, SignedCombination
 from .sampling import SampleParameters, effective_p, sample_members, sample_set
-from .sumset import BIT_SLICE_MAX_N, DEFAULT_BIT_BUDGET, batch_records, gen_sumset
+from .sumset import BIT_SLICE_MAX_N, DEFAULT_BIT_BUDGET, FoldBuffers, batch_records, trial_record
+from .sumset import gen_sumset  # noqa: F401  (perfbench's traced pass wraps this name)
 
 _DEFAULT_TOLERANCE = {
     "fast-ratio": 0.10,
@@ -397,54 +400,50 @@ _CHUNK_TRIALS = 4096
 _BATCH_BYTES = 1 << 16
 
 
-def _trial_records(config, N, combos, probes, trials: range,
-                   threads: int = 1) -> list[tuple[int, ...]]:
+def _trial_records(config, N, combos, probes, trials: range, threads: int = 1,
+                   buffers: FoldBuffers | None = None) -> list[tuple[int, ...]]:
     """One record per trial: (|A|, |A_combo| for each combo, missing-probe mask).
 
     Bit j of the bitmask is set when probes[j] is missing from the first
     combo's sumset.  Up to BIT_SLICE_MAX_N, batches of trials are sampled
     and folded together by sample_members and batch_records.  Above it,
-    each trial calls sample_set on `threads` threads and gen_sumset, and
-    each sumset is reduced to integers and released before the next is
-    computed, so one membership vector is alive at a time.
+    each trial calls sample_set on `threads` threads and trial_record, whose
+    byte folds write into buffers (fresh ones by default).
     """
     params = config._sample_params(N)
+    if N > BIT_SLICE_MAX_N:
+        buffers = buffers or FoldBuffers()
+        return [trial_record(sample_set(replace(params, trial_index=t), threads=threads),
+                             combos, probes, buffers) for t in trials]
+    span = max(combo.h for combo in combos) * N + 1
+    size = 64 * max(1, _BATCH_BYTES // (64 * span))
     records = []
-    if N <= BIT_SLICE_MAX_N:
-        span = max(combo.h for combo in combos) * N + 1
-        size = 64 * max(1, _BATCH_BYTES // (64 * span))
-        for lo in range(trials.start, trials.stop, size):
-            batch = range(lo, min(lo + size, trials.stop))
-            records += batch_records(sample_members(params, batch), combos, probes)
-        return records
-    for t in trials:
-        A = sample_set(replace(params, trial_index=t), threads=threads)
-        record = [A.size]
-        missing = 0
-        for i, combo in enumerate(combos):
-            result = gen_sumset(A, combo, config.bit_budget)
-            record.append(result.cardinality)
-            if i == 0:
-                for j, n in enumerate(probes):
-                    missing |= (not result.contains(n)) << j
-            del result
-        records.append((*record, missing))
+    for lo in range(trials.start, trials.stop, size):
+        batch = range(lo, min(lo + size, trials.stop))
+        records += batch_records(sample_members(params, batch), combos, probes)
     return records
 
 
-def _records(config, workers, threads, N, combos, probes=()):
-    """Yield the record of every trial at ground-set size N, in trial order."""
+def _records(config, workers, N, combos, probes=()):
+    """Yield the record of every trial at ground-set size N, in trial order.
+
+    The chunks run in this process share one FoldBuffers, released with the
+    last record; a pool worker makes one for each chunk.
+    """
     size = max(1, min(_CHUNK_TRIALS, _CHUNK_DRAWS // (N + 1)))
     T = config.trials
     chunks = [range(t, min(t + size, T)) for t in range(0, T, size)]
-    measure = partial(_trial_records, config, N, combos, probes, threads=threads)
-    if workers <= 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            yield from measure(chunk)
-        return
     # A pool forks all of its workers up front, so it gets no more than
     # there are chunks.
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+    processes = 1 if workers <= 1 else min(workers, len(chunks))
+    measure = partial(_trial_records, config, N, combos, probes,
+                      threads=max(1, _cores() // processes))
+    if processes == 1:
+        buffers = FoldBuffers()
+        for chunk in chunks:
+            yield from measure(chunk, buffers=buffers)
+        return
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         for records in pool.map(measure, chunks):
             yield from records
 
@@ -641,7 +640,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     """Validate the config and run its experiment; pure in (config, seed).
 
     The workers split the trials, and each draws a large trial's stream on
-    cores // workers threads; neither number reaches the report.
+    several threads (_records); neither number reaches the report.
     """
     validate_workers(workers)
     config.validate()
@@ -655,8 +654,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
             if h * N + 1 > config.bit_budget:
                 raise BudgetError(f"N: {N} needs {h * N + 1} bits for h={h}, "
                                   f"exceeding the budget of {config.bit_budget}")
-        threads = max(1, _cores() // workers)
-        records = partial(_records, config, workers, threads)
+        records = partial(_records, config, workers)
         rows, checks, extras = _SUMMARIES[config.kind](config, records)
         all_pass = all(x.passed for x in (*rows, *checks) if x.passed is not None)
     return ExperimentReport(

@@ -6,8 +6,8 @@ element of B, so one fold costs |B| shifts.  Minus blocks are handled by
 reflecting A to {N - a} and adding, which keeps every intermediate index
 non-negative; the stored vector is indexed by n + dN over [0, hN].
 
-gen_sumset has three kernels, chosen by kernel_branch from N, h and |A|
-alone; all three give the same packed bytes.
+There are three kernels, chosen by kernel_branch from N, h and |A| alone;
+all three give the same sumset.
 
 - Below BYTE_FOLD_MIN_N = 2^15 ("int") the vector is an arbitrary-size int
   and each shift is a big-int shift and OR.
@@ -31,12 +31,15 @@ alone; all three give the same packed bytes.
   not 2.0 GB, and takes 35-53 ms, not 117-132 ms, in a fresh process (2
   cores, numpy 2.4.6).  Critical-decay folds (|A| ~ 200 at N = 10^6, at
   most 4 covers) stay below the gate and OR every whole copy: their
-  sumsets have gaps all over and never fill a block.
+  sumsets have gaps all over and never fill a block.  A plain fold ORs each
+  whole copy with no window bookkeeping, which cost 0.3-1 ms of a 3-4 ms
+  fold of |A| ~ 200 shifts.
 - From 2^15 up, while 17|A|^h <= (4h - 3)N/8 ("enumerate"), the sums are
   enumerated instead: each fold takes the outer sum of the distinct values
   so far with the sorted elements (or their reflection), sorts it and
-  drops equal neighbours, and the distinct offsets are scattered into
-  zeroed bytes.  Its cost follows |A|^h, not N.  The rule is a memory cap:
+  drops equal neighbours.  gen_sumset scatters the distinct offsets into
+  zeroed bytes; trial_record counts them and finds its probes by binary
+  search.  Its cost follows |A|^h, not N.  The rule is a memory cap:
   the last outer sum holds at most |A|^h int64 entries, so with its sort
   mask and its distinct copy its temporaries take at most 17|A|^h bytes,
   and (4h - 3)N/8 bytes is the byte fold's own working set (its input, two
@@ -55,6 +58,20 @@ The cardinality is the enumeration's length, the big int's bit_count, or,
 after the byte fold, a SWAR popcount over little-endian uint64 words in
 blocks of 64 KB.  Only APIs of numpy 1.22, the declared minimum, are used:
 no np.bitwise_count (numpy 2.0).
+
+trial_record(A, combos, probes, buffers) is the experiment pipeline's
+entry for one set above BIT_SLICE_MAX_N, and gen_sumset is its one-combo
+case; both run the folds of _walk.  It returns the integer record (|A|,
+|A_combo| for each combo, missing-probe mask) and builds no
+GenSumsetResult.  Combos whose fold sequences, s - 1 copies of A then d of
+its reflection, share a prefix fold it once: (2,1) and (3,0) share A + A.
+Byte folds write into a FoldBuffers: the vector at depth j, a (j + 1)-fold
+sum, takes (j + 1)(N // 8 + 1) bytes whatever A, and two word copies of the
+deepest input take about as much again, so a caller that keeps one
+FoldBuffers for the trials of one N allocates during the first trial only.
+At N = 10^6, h = 3 and |A| ~ 200 that is about 1.25 MB, and the record's
+sumsets took 6.9 ms a trial in one warm process, against 10 ms for
+gen_sumset called combo by combo (2 cores, numpy 2.4.6).
 
 `batch_records` runs the same folds for a batch of small sets at once,
 bit-sliced: bit i of word (w, a) says whether set 64w + i contains a, so
@@ -77,6 +94,7 @@ statistics) are provided at small scale, guarded by tuple budgets.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,36 +241,70 @@ def _open_windows(out: np.ndarray, windows: list[tuple[int, int]]) -> list[tuple
     return kept
 
 
-def _shift_or_bytes(acc: np.ndarray, shifts: list[int], windowed: bool = False) -> np.ndarray:
+class FoldBuffers:
+    """Arrays that byte folds write into, kept from one call to the next.
+
+    Each array is made on its first use, or when a fold needs it larger, and
+    reused by every later fold given the same buffers.  _walk asks for sizes
+    that depend only on N and the fold's depth, so the trials of one N
+    allocate them during the first trial only.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def take(self, key, size: int, dtype=np.uint8) -> np.ndarray:
+        """The first size entries of array key, uninitialized."""
+        array = self._arrays.get(key)
+        if array is None or array.size < size:
+            array = self._arrays[key] = np.empty(size, dtype=dtype)
+        return array[:size]
+
+
+def _shift_or_bytes(acc: np.ndarray, shifts: list[int], windowed: bool = False,
+                    out: np.ndarray | None = None,
+                    buffers: FoldBuffers | None = None) -> np.ndarray:
     """_shift_or on a vector packed as little-endian bytes (numpy uint8).
 
     Shifts are grouped by e & 7.  For each residue r in use, the copy of acc
     shifted by r bits is built once, word-wise, and shift e ORs it in place
     at byte offset e >> 3, so no shift allocates and one copy is alive at a
-    time.  Each OR covers only its overlap with the windows of the output
-    that may still hold a zero bit, at first the whole output.  When
-    windowed, _open_windows narrows them each time the ORs since the last
-    narrowing reach _WINDOW_REFRESH times their size: a byte that is 0xFF
-    cannot change under OR.  The top bit of the output is never set, so a
-    window always remains.
+    time.  The result is written into out, which must hold at least
+    acc.size + (max(shifts) >> 3) + 1 bytes and is zeroed first (by default
+    a fresh array of that size); the word copies go into buffers.  A plain
+    fold ORs each whole copy.  A windowed one ORs each only into its overlap
+    with the windows of the output that may still hold a zero bit, at first
+    the whole output, and _open_windows narrows them each time the ORs since
+    the last narrowing reach _WINDOW_REFRESH times their size: a byte that
+    is 0xFF cannot change under OR.  The top bit of the output is never
+    set, so a window always remains.
     """
     n = acc.size
-    base = np.zeros((n + 8) // 8, dtype="<u8")  # n + 1 bytes: room for 7 more bits
+    if out is None:
+        out = np.empty(n + (max(shifts) >> 3) + 1, dtype=np.uint8)
+    buffers = buffers or FoldBuffers()
+    base = buffers.take("base", (n + 8) // 8, "<u8")  # n + 1 bytes: room for 7 more bits
+    base[-1] = 0
     base.view(np.uint8)[:n] = acc
-    row = np.empty_like(base)
+    row = buffers.take("row", base.size, "<u8")
     copy = row.view(np.uint8)[: n + 1]
     offsets = [[] for _ in range(8)]
     for e in shifts:
         offsets[e & 7].append(e >> 3)
-    out = np.zeros(n + (max(shifts) >> 3) + 1, dtype=np.uint8)
+    out.fill(0)
     windows = [(0, out.size)]
-    ored, due = 0, _WINDOW_REFRESH * out.size if windowed else math.inf
+    ored, due = 0, _WINDOW_REFRESH * out.size
     for r, starts in enumerate(offsets):
         if not starts:
             continue
         np.left_shift(base, r, out=row)
         if r:
             row[1:] |= base[:-1] >> (64 - r)
+        if not windowed:
+            for b in starts:
+                view = out[b : b + n + 1]
+                np.bitwise_or(view, copy, out=view)
+            continue
         for b in starts:
             end = b + n + 1
             for lo, hi in windows:
@@ -299,17 +351,13 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _enumerated_sums(folds: list[np.ndarray]) -> np.ndarray:
-    """Distinct offsets n + dN of the sumset, ascending, by outer sums.
+def _enumerated_sums(values: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """One fold of the enumeration: the distinct sums of values and base, ascending.
 
-    Each fold adds every element of its base to every distinct value so far,
-    so the last outer sum has at most |A|^h entries.  There are h - 1 >= 1
-    folds, so the result is always a fresh array.
+    The outer sum adds every element of base to every distinct value so
+    far, so the last fold of a sumset has at most |A|^h entries.
     """
-    values = folds[0]
-    for base in folds[1:]:
-        values = _distinct((values[:, None] + base[None, :]).ravel())
-    return values
+    return _distinct((values[:, None] + base[None, :]).ravel())
 
 
 def kernel_branch(N: int, h: int, size: int) -> str:
@@ -334,17 +382,110 @@ def _result(combo: SignedCombination, N: int, packed: np.ndarray,
                            complement_count=span - cardinality)
 
 
+def _walk(A: SampledSet, combos, buffers: FoldBuffers):
+    """Fold the sumset of each combo of A; yield (index, branch, folded sum).
+
+    Combo (s, d) starts from A and folds s - 1 copies of A, then d of the
+    reflection {N - a}.  Set addition is associative and commutative, so the
+    order is semantically irrelevant; fixing it keeps runs reproducible.
+    Each combo runs the kernel that kernel_branch picks from N, h and |A|
+    (see the module docstring).  The combos are walked in the order of
+    their branch and sign sequence, depth first through the trie of the
+    sequences, so a prefix that several combos share, A + A for (2,1) and
+    (3,0), is folded once.  The folded sum is a big int, the distinct
+    offsets n + dN in an ascending int64 array, or packed bytes over the
+    offsets, whose vector at depth j lives in buffers, (j + 1)(N // 8 + 1)
+    bytes long, and is overwritten by the walk's next fold at that depth:
+    read each sum before the walk goes on.
+    """
+    N, size = A.N, A.size
+    order = sorted((kernel_branch(N, combo.h, size), "+" * (combo.s - 1) + "-" * combo.d, i)
+                   for i, combo in enumerate(combos))
+    branch = path = None
+    for kernel, signs, i in order:
+        if kernel != branch:
+            branch, path = kernel, ""
+            if branch == "enumerate":
+                sums = [A.elements]
+                bases = {"+": A.elements, "-": N - A.elements[::-1]}
+            else:
+                elements = A.elements.tolist()
+                bases = {"+": elements, "-": [N - a for a in reversed(elements)]}
+                sums = [A.bitmask() if branch == "int"
+                        else scatter_bits(A.elements.copy(), buffers.take(0, N // 8 + 1))]
+        del sums[len(os.path.commonprefix([path, signs])) + 1 :]
+        for j in range(len(sums), len(signs) + 1):
+            shifts = bases[signs[j - 1]]
+            if branch == "int":
+                sums.append(_shift_or(sums[-1], shifts))
+            elif branch == "enumerate":
+                sums.append(_enumerated_sums(sums[-1], shifts))
+            else:
+                # |shifts| copies of a j-fold sum that holds at most min(|A|^j, jN + 1)
+                # of its jN + 1 values: the expected covers of an output bit, bounded.
+                values = j * N + 1
+                windowed = len(shifts) * min(size**j, values) >= _WINDOW_MIN_COVERS * values
+                out = buffers.take(j, (j + 1) * (N // 8 + 1))
+                sums.append(_shift_or_bytes(sums[-1], shifts, windowed, out, buffers))
+        path = signs
+        yield i, branch, sums[-1]
+
+
+def _cardinality(branch: str, folded, span: int) -> int:
+    if branch == "int":
+        return folded.bit_count()
+    if branch == "enumerate":
+        return folded.size
+    return _popcount(folded[: (span + 7) // 8])
+
+
+def _missing(branch: str, folded, offsets, span: int) -> int:
+    """Bitmask of the offsets, by position, that the folded sum does not hold."""
+    mask = 0
+    for j, offset in enumerate(offsets):
+        if 0 <= offset < span:
+            if branch == "int":
+                held = folded >> offset & 1
+            elif branch == "enumerate":
+                k = int(np.searchsorted(folded, offset))
+                held = k < folded.size and folded[k] == offset
+            else:
+                held = folded[offset >> 3] >> (offset & 7) & 1
+            if held:
+                continue
+        mask |= 1 << j
+    return mask
+
+
+def trial_record(A: SampledSet, combos, probes=(),
+                 buffers: FoldBuffers | None = None) -> tuple[int, ...]:
+    """(|A|, |A_combo| for each combo, missing-probe mask) of one set.
+
+    Bit j of the mask is set when probes[j] is missing from the first
+    combo's sumset: the integers batch_records gives for a batch of sets.
+    The sumsets are folded by _walk, each shared prefix once, and reduced
+    to integers in place; no GenSumsetResult is built and the enumeration
+    scatters nothing.  Byte folds write into buffers, which a caller keeps
+    for all the sets of one N so that only the first call allocates them.
+    """
+    record = [A.size] + [0] * len(combos)
+    missing = 0
+    for i, branch, folded in _walk(A, combos, buffers or FoldBuffers()):
+        combo = combos[i]
+        span = combo.h * A.N + 1
+        record[i + 1] = _cardinality(branch, folded, span)
+        if i == 0:
+            missing = _missing(branch, folded, [n + combo.d * A.N for n in probes], span)
+    return (*record, missing)
+
+
 def gen_sumset(
     A: SampledSet, combo: SignedCombination, bit_budget: int = DEFAULT_BIT_BUDGET
 ) -> GenSumsetResult:
     """Membership and cardinality of the generalized sumset of A.
 
-    Folds ascending: s copies of A, then d copies of the reflection
-    {N - a}.  Set addition is associative and commutative, so the order is
-    semantically irrelevant; fixing it keeps runs reproducible.  The folds
-    run on a big int, on packed bytes, or as enumerated sums, chosen by
-    kernel_branch from N, h and |A| (see the module docstring); the result
-    is the same.
+    The one-combo case of trial_record's walk (_walk); the result owns its
+    packed bytes.
     """
     span = combo.h * A.N + 1
     if span > bit_budget:
@@ -352,33 +493,15 @@ def gen_sumset(
             f"membership vector needs {span} bits, exceeding the budget of {bit_budget}"
         )
     nbytes = (span + 7) // 8
-    if A.size == 0:
-        return _result(combo, A.N, np.zeros(nbytes, dtype=np.uint8), 0)
-    branch = kernel_branch(A.N, combo.h, A.size)
-    if branch == "enumerate":
-        elements = A.elements
-        values = _enumerated_sums([elements] * combo.s + [A.N - elements[::-1]] * combo.d)
-        return _result(combo, A.N, scatter_bits(values, nbytes), values.size)
-    elements = A.elements.tolist()
-    reflected = [A.N - a for a in reversed(elements)]
-    folds = [elements] * (combo.s - 1) + [reflected] * combo.d
+    [(_, branch, folded)] = _walk(A, (combo,), FoldBuffers())
+    cardinality = _cardinality(branch, folded, span)
     if branch == "int":
-        acc = A.bitmask()
-        for shifts in folds:
-            acc = _shift_or(acc, shifts)
-        packed = np.frombuffer(acc.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return _result(combo, A.N, packed, acc.bit_count())
-    packed = A.packed_bits()
-    for j, shifts in enumerate(folds, 1):
-        # |shifts| copies of a j-fold sum that holds at most min(|A|^j, jN + 1)
-        # of its jN + 1 values: the expected covers of an output bit, bounded.
-        values = j * A.N + 1
-        windowed = len(shifts) * min(A.size**j, values) >= _WINDOW_MIN_COVERS * values
-        packed = _shift_or_bytes(packed, shifts, windowed)
-    if packed.size < nbytes:  # A's extremes lie well inside [0, N]
-        packed = np.concatenate([packed, np.zeros(nbytes - packed.size, dtype=np.uint8)])
-    packed = packed[:nbytes]
-    return _result(combo, A.N, packed, _popcount(packed))
+        packed = np.frombuffer(folded.to_bytes(nbytes, "little"), dtype=np.uint8)
+    elif branch == "enumerate":
+        packed = scatter_bits(folded, np.empty(nbytes, dtype=np.uint8))
+    else:
+        packed = folded[:nbytes].copy()
+    return _result(combo, A.N, packed, cardinality)
 
 
 def _fold_words(acc: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from gensumset.experiments import (
     run_experiment,
 )
 from gensumset.sampling import SampleParameters
+from gensumset.sumset import trial_record
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
@@ -417,6 +418,58 @@ def test_reports_regenerate_with_each_trial_drawn_on_several_threads(stem, cores
     assert report.to_json() == (ROOT / "results" / f"{stem}.json").read_text()
     assert report.csv_text() == (ROOT / "results" / f"{stem}.csv").read_text()
     assert drawn_on == [cores] * data["trials"]
+
+
+class _InlinePool:
+    """A process pool that runs its chunks in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return map(fn, chunks)
+
+
+@pytest.mark.parametrize("trials, workers, threads", [(1, 2, 2), (2, 1, 2), (2, 2, 1), (3, 8, 1)])
+def test_threads_follow_the_processes_that_run(trials, workers, threads, monkeypatch):
+    # At N = 10^6 a chunk is one trial.  One chunk runs in this process
+    # whatever the worker count, so its trial is drawn on both cores; a pool
+    # of min(workers, chunks) processes shares them.
+    drawn_on = []
+
+    def spy(params, threads):
+        drawn_on.append(threads)
+        return sample_set(params, threads=threads)
+
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
+    monkeypatch.setattr(experiments, "sample_set", spy)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    combos = (SignedCombination(2, 1), SignedCombination(3, 0))
+    config = _fast_config(Ns=(10**6,), trials=trials, combos=combos, delta=Fraction(4, 5))
+    run_experiment(config, workers=workers)
+    assert drawn_on == [threads] * trials
+
+
+def test_trials_of_one_n_share_one_set_of_buffers(monkeypatch):
+    # Run in this process, every chunk of an N folds into the same buffers;
+    # the next N gets new ones.
+    used = []
+
+    def spy(A, combos, probes, buffers):
+        used.append((A.N, id(buffers)))
+        return trial_record(A, combos, probes, buffers)
+
+    monkeypatch.setattr(experiments, "trial_record", spy)
+    monkeypatch.setattr(experiments, "_CHUNK_TRIALS", 2)
+    run_experiment(_fast_config(Ns=(4000, 8000), trials=5), workers=1)
+    assert [N for N, _ in used] == [4000] * 5 + [8000] * 5
+    assert len(set(used)) == 2  # one set of buffers for each N
 
 
 def test_workers_must_be_at_least_one():

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from gensumset import SampledSet, SampleParameters, effective_p, sample_set
 from gensumset import sampling
-from gensumset.sampling import MEMBER_CHUNK, SAMPLE_CHUNK, sample_members, substream
+from gensumset.sampling import (
+    MEMBER_CHUNK,
+    SAMPLE_CHUNK,
+    sample_members,
+    scatter_bits,
+    substream,
+)
 
 
 def _params(N, seed=401, trial=0, **kw):
@@ -93,8 +99,7 @@ def test_bitmask_matches_elements():
             mask = A.bitmask()
             for a in range(N + 1):
                 assert ((mask >> a) & 1) == (1 if a in members else 0)
-            packed = A.packed_bits()
-            assert packed.dtype == np.uint8 and packed.size == (N + 8) // 8
+            packed = scatter_bits(A.elements.copy(), np.ones((N + 8) // 8, dtype=np.uint8))
             assert int.from_bytes(packed.tobytes(), "little") == mask
 
 

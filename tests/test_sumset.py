@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -32,7 +33,9 @@ from gensumset.sumset import (
     _popcount,
     _shift_or,
     _shift_or_bytes,
+    FoldBuffers,
     batch_records,
+    trial_record,
 )
 
 
@@ -349,9 +352,9 @@ def _spy_folds(monkeypatch):
     """Patch in counters; each byte fold appends (windowed, bytes ORed, plain bytes)."""
     counter, folds = _CountingNumpy(), []
 
-    def spy(acc, shifts, windowed=False):
+    def spy(acc, shifts, windowed=False, *buffers):
         before = counter.or_bytes
-        out = _shift_or_bytes(acc, shifts, windowed)
+        out = _shift_or_bytes(acc, shifts, windowed, *buffers)
         folds.append((windowed, counter.or_bytes - before, len(shifts) * (acc.size + 1)))
         return out
 
@@ -549,3 +552,89 @@ def test_batch_records_match_per_set_kernels(N, p, T, seed):
         assert (record == empty) == (A.size == 0)
     if p == 1e-3:
         assert records.count(empty) > T // 2
+
+
+def _probes(N, combo):
+    # Offsets inside the first combo's range, at its ends, and just outside.
+    lo, hi = combo.value_range(N)
+    return (lo - 1, lo, lo + 1, 0, 1, N, hi - 1, hi, hi + 1, 5 * N)
+
+
+@pytest.mark.parametrize("branch", [None, "int", "bytes", "enumerate"])
+@pytest.mark.parametrize(
+    "combos",
+    [
+        _combos((2, 1), (3, 0)),  # A + A shared
+        _combos((2, 2), (3, 1), (4, 0)),  # A + A and A + A + A shared
+        _combos((2, 0), (1, 1)),  # nothing shared past A
+        _combos((3, 0), (2, 1), (3, 0), (2, 0)),  # a repeat, and a prefix of two others
+    ],
+)
+def test_trial_record_matches_per_combo_kernels(combos, branch, monkeypatch):
+    # One trial_record call gives the records of gen_sumset run combo by
+    # combo, through the same forced branch (None: the documented rule), and
+    # of the enumeration oracle where |A|^h is affordable.  One buffer set
+    # serves every set in turn, a dense one before sparse and empty ones, so
+    # a stale byte of an earlier set would show in a later record.
+    N = BYTE_FOLD_MIN_N + 3
+    rng = np.random.default_rng(len(combos))
+    dense = [0, N, *rng.choice(np.arange(1, N), size=N // 3, replace=False).tolist()]
+    sets = [_set(elements, N) for elements in (
+        dense, [0, 1, N - 1, N], [], [N // 2], [3, 5, 8],
+        rng.choice(N + 1, size=30, replace=False).tolist())]
+    if branch == "enumerate":
+        sets = sets[1:]  # a dense enumeration would hold |A|^h sums
+    probes = _probes(N, combos[0])
+    buffers = FoldBuffers()
+    for A in sets:
+        with monkeypatch.context() as patch:
+            if branch is not None:
+                patch.setattr(sumset, "kernel_branch", lambda N, h, size: branch)
+            record = trial_record(A, combos, probes, buffers)
+            assert record == _per_set_record(A, combos, probes, gen_sumset)
+        if A.size**max(combo.h for combo in combos) <= 10**6:
+            assert record == _per_set_record(A, combos, probes, gen_sumset_naive)
+        if A.size == 0:
+            assert record == (0,) * (1 + len(combos)) + ((1 << len(probes)) - 1,)
+
+
+def test_trial_record_folds_each_shared_prefix_once(monkeypatch):
+    # (2,2), (3,1) and (4,0) fold A + A once and A + A + A once: the six
+    # nodes of their trie, +, +-, +--, ++, ++- and +++, not 3 folds a combo.
+    N = 10**5
+    A = _set([0, N, *range(1, 3000, 7)], N)
+    combos = _combos((2, 2), (3, 1), (4, 0))
+    folds = _spy_folds(monkeypatch)
+    record = trial_record(A, combos)
+    monkeypatch.undo()
+    assert [sumset.kernel_branch(N, 4, A.size)] == ["bytes"]
+    assert len(folds) == 6
+    assert record == _per_set_record(A, combos, (), gen_sumset)
+
+
+def _peak_bytes(call):
+    """The most bytes that tracemalloc saw allocated at once during call()."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_trial_record_allocates_no_output_vector_after_its_first_call():
+    # At critical_h3's parameters both combos take the byte fold.  With the
+    # buffers of an earlier trial, the second trial allocates less at once
+    # than one output vector, (3N + 8) // 8 bytes; fresh buffers do not.
+    N = 10**6
+    params = SampleParameters(N=N, seed=99, c=2.0, delta=Fraction(2, 3))
+    first, second = (sample_set(replace(params, trial_index=t)) for t in range(2))
+    combos = _combos((2, 1), (3, 0))
+    assert {sumset.kernel_branch(N, 3, A.size) for A in (first, second)} == {"bytes"}
+    vector = (3 * N + 8) // 8
+    buffers = FoldBuffers()
+    trial_record(first, combos, (), buffers)
+    assert _peak_bytes(lambda: trial_record(second, combos, (), buffers)) < vector
+    assert _peak_bytes(lambda: trial_record(second, combos, (), FoldBuffers())) > vector
