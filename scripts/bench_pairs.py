@@ -1,0 +1,167 @@
+#!/usr/bin/env python3
+"""Compare two revisions on the benchmark in alternating pairs; write BENCH_<pr>.json.
+
+Usage (from the repository root):
+
+    python3 scripts/bench_pairs.py --base REV [--change REV] --pr N
+
+Each side is a clean checkout of its revision (`git archive`) in a
+temporary directory, so nothing untracked or uncommitted reaches either
+run.  REV is anything `git archive` takes: a commit, a branch, or a tree
+such as `git write-tree` prints for the staged state.  For every workload
+in `BENCHMARK.json`, each of 10 pairs runs `perfbench/run.py --workload W
+--seconds S` once on each side, S being `BENCHMARK.json`'s run length; the
+base runs first in even pairs and the change in odd ones, so a drift of the
+machine's speed during a pair does not always favour one side.  Only pairs
+measured in the same session can be compared, which is why every change
+writes its own file.
+
+The file holds the machine (nproc, CPU model, Python and numpy versions),
+per workload each side's failed and attempted operations and each run's
+`correct` flag, per end-to-end metric each side's runs, median and
+quartiles (`statistics.quantiles`' default exclusive method, as
+`perfbench/spread.py` uses) and the change's wins out of the pairs, and
+each side's tier-1 per-test durations (`pytest --durations=0`, which hides
+those under 5 ms).  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "--durations=0"]
+PAIRS = 10
+DURATION = re.compile(r"^\s*([0-9.]+)s (setup|call|teardown)\s+(\S+)\s*$")
+
+
+def checkout(rev: str, into: Path) -> Path:
+    """A clean copy of rev's tracked files in a new directory `into`."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    into.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+    return into
+
+
+def bench(side: Path, workload: str, seconds: int, metrics: list[str], where: str) -> dict:
+    """One perfbench run on one side: its last stdout line, a JSON object.
+
+    Exits naming `where` (workload, pair and side) if the run fails or
+    reports no value for one of `metrics`, as a run with no good operation
+    does.
+    """
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seconds", str(seconds)], cwd=side,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{where}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    missing = [name for name in metrics if name not in result.get("metrics", {})]
+    if missing:
+        sys.exit(f"{where}: no value for {', '.join(missing)} "
+                 f"({result.get('failed')} of {result.get('attempted')} operations failed)")
+    return result
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def tier1(side: Path) -> dict:
+    """Wall time, summary line and per-test durations (all phases summed)."""
+    env = dict(os.environ, PYTHONPATH="src")
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=side, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    durations: dict[str, float] = {}
+    for line in proc.stdout.splitlines():
+        if match := DURATION.match(line):
+            test = match[3]
+            durations[test] = round(durations.get(test, 0.0) + float(match[1]), 3)
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    return {"wall_s": round(wall, 2), "summary": summary.strip("= "),
+            "durations_s": dict(sorted(durations.items(), key=lambda kv: -kv[1]))}
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as info:
+            cpu = next((line.split(":", 1)[1].strip() for line in info
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                           capture_output=True, text=True).stdout.strip()
+    return {"nproc": os.cpu_count(), "cpu_model": cpu,
+            "python": platform.python_version(), "numpy": numpy}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="revision of the parent side")
+    parser.add_argument("--change", default="HEAD", help="revision of the changed side")
+    parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as workdir:
+        result = compare(args, {side: checkout(rev, Path(workdir) / side)
+                                for side, rev in (("base", args.base), ("change", args.change))})
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+def compare(args: argparse.Namespace, sides: dict[str, Path]) -> dict:
+    """The file's contents: the pairs of every workload, then tier-1 on each side."""
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+
+    workloads = {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs: dict[str, list[dict]] = {"base": [], "change": []}
+        for i in range(PAIRS):
+            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                runs[side].append(bench(sides[side], workload, seconds, list(metrics),
+                                        f"{workload} pair {i + 1} {side}"))
+                print(f"{workload} pair {i + 1} {side}: "
+                      f"{json.dumps(runs[side][-1]['metrics'])}", file=sys.stderr)
+        entry = {"failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
+                 "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
+                 "correct": {side: [r["correct"] for r in runs[side]] for side in runs},
+                 "metrics": {}}
+        for name, meta in metrics.items():
+            values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+            sign = 1 if meta["better"] == "higher" else -1
+            wins = sum(sign * (c - b) > 0 for b, c in zip(values["base"], values["change"]))
+            entry["metrics"][name] = {"unit": meta["unit"], "better": meta["better"],
+                                      "base": spread(values["base"]),
+                                      "change": spread(values["change"]),
+                                      "change_wins": wins, "pairs": PAIRS}
+        workloads[workload] = entry
+
+    return {"pr": args.pr, "base": args.base, "change": args.change,
+            "command": spec["command"] + ["--seconds", str(seconds)],
+            "machine": machine(), "workloads": workloads,
+            "tier1": {side: tier1(path) for side, path in sides.items()}}
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,7 +5,8 @@ sum of h independent uniform [0,1] variables (the Irwin-Hall density); the
 overlap moments b_{h,k} of that density and the critical-decay constant
 g(c; s, d), the sum of a series in them, are integrals over one table of
 integer polynomial pieces, each computed past double precision and rounded
-once.  Also here: the exact missing-value laws for two-summand slow decay.
+once.  Also here: the exact missing-value laws for two-summand slow decay,
+sums of math.pow terms streamed into one fsum in chunks, largest first.
 
 Everything is a pure function; the constant tables are cached and safe for
 concurrent reads.
@@ -20,7 +21,7 @@ from decimal import Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, takewhile
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -34,6 +35,7 @@ SUM_DOMINATED_LIMIT_FRACTION = 4.5e-4
 COMPLEMENT_RATIO_LIMIT_H2 = 2.0
 
 _G_DIGITS = 34  # working digits of g_series
+_CHUNK = 1 << 14  # terms per chunk streamed into the slow-h2 laws' fsum
 
 
 def missing_sums_asymptote_h2(p: float) -> float:
@@ -315,15 +317,23 @@ def missing_sum_probability_h2(n: int, N: int, p: float) -> float:
     return q ** ((n + 1) // 2)
 
 
+def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
+    """base ** k for each integer k < 2**53 of exponents, by the same libm pow."""
+    return np.fromiter(map(math.pow, repeat(base), exponents.astype(float).tolist()),
+                       dtype=float, count=exponents.size)
+
+
 def expected_missing_sums_h2(N: int, p: float) -> float:
     """Expected count of values in [0, 2N] missing from A+A; exact.
 
     Direct sum of the per-value missing probabilities, folded across the
     midpoint; terms below 1e-30 are dropped (the truncated tail is smaller
     than 2N * 1e-30).  Tends to 4/p^2 as p -> 0 with N p^2 -> infinity.
-    Powers come from Python's pow, term by term, and the rest is correctly
+    Powers come from math.pow, term by term, and the rest is correctly
     rounded elementwise arithmetic, so every term has the bits of the
-    per-value loop over missing_sum_probability_h2.
+    per-value loop over missing_sum_probability_h2.  The terms stream into
+    one fsum in chunks of _CHUNK, largest first, which holds no full-length
+    array; fsum rounds once, so the order changes its cost, not its result.
     """
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
@@ -332,20 +342,24 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
     if N == 0:
         return 1.0 - p
     q = 1.0 - p * p
-    # odd[m-1] = q**m is the missing probability of the odd value 2m-1 < N.
-    # Odd-value probabilities dominate every later term, so the sum stops at
-    # the first one below 1e-30.
-    half = N // 2
-    odd = np.fromiter(takewhile((1e-30).__le__, map(q.__pow__, range(1, half + 1))),
-                      dtype=float)
-    if odd.size < half:
-        odd = np.append(odd, q ** (odd.size + 1))
-        n_even = odd.size
-    else:
-        n_even = (N + 1) // 2
-    even = np.concatenate(([1.0], odd[: n_even - 1])) * (1.0 - p)  # values 0, 2, ...
-    middle = missing_sum_probability_h2(N, N, p)
-    return math.fsum(chain((middle,), 2.0 * odd, 2.0 * even))
+    half, last_even = N // 2, (N - 1) // 2  # largest m with 2m-1 < N, with 2m < N
+
+    def chunks():
+        yield [2.0 * (1.0 - p)]  # the value 0
+        for lo in range(1, half + 1, _CHUNK):
+            # odd[i] = q**(lo+i) is the missing probability of the odd value
+            # 2(lo+i)-1 < N, and odd[i] * (1-p) that of 2(lo+i) if below N.
+            # Odd values dominate every later term: stop at the first < 1e-30.
+            odd = _powers(q, np.arange(lo, min(lo + _CHUNK, half + 1)))
+            below = np.flatnonzero(odd < 1e-30)
+            stop = below[0] if below.size else odd.size
+            yield (2.0 * odd[: stop + 1]).tolist()
+            yield (2.0 * (odd[: min(stop, last_even - lo + 1)] * (1.0 - p))).tolist()
+            if below.size:
+                break
+        yield [missing_sum_probability_h2(N, N, p)]
+
+    return math.fsum(chain.from_iterable(chunks()))
 
 
 @lru_cache(maxsize=64)
@@ -360,8 +374,9 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
 
     Every n with the same chain length (N+1)//n shares the recurrence's
     value, so it runs once, up to the longest chain, and the n of one
-    length are done together with Python's pow and elementwise products:
-    each term has the bits of a per-n loop.
+    length are done together with math.pow and elementwise products: each
+    term has the bits of a per-n loop.  The terms stream into one fsum in
+    chunks of _CHUNK, largest first.
     """
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
@@ -378,25 +393,27 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
         return not (N + 1 - n) * pair_free / 2.0 < -70.0
 
     first = 1 + bisect_left(range(1, N + 1), True, key=kept)
-    terms = [np.array([q ** (N + 1)])]  # 0 is missing iff A is empty
-    prev, cur = 1.0, 1.0  # no-pair probabilities for chain lengths 0 and 1
-    steps = 0
-    hi = N
-    while hi >= first:
-        length = (N + 1) // hi
-        lo = max(first, (N + 1) // (length + 1) + 1)
-        for _ in range(length - steps):
-            prev, cur = cur, q * cur + pq * prev
-        steps = length
-        # For n in [lo, hi], N+1 - length*n chains have length + 1 elements
-        # and the other (length+1)*n - (N+1) have length.
-        count = hi - lo + 1
-        longer = range(N + 1 - length * lo, N - length * hi, -length)
-        shorter = range((length + 1) * lo - N - 1, (length + 1) * hi - N, length + 1)
-        missing = np.fromiter(map(cur.__pow__, longer), dtype=float, count=count)
-        if length > 1:  # else prev is 1.0, and 1.0 ** k is exactly 1.0
-            missing *= np.fromiter(map(prev.__pow__, shorter), dtype=float, count=count)
-        missing *= 2.0
-        terms.append(missing)
-        hi = lo - 1
-    return math.fsum(chain.from_iterable(terms))
+
+    def chunks():
+        prev, cur = 1.0, 1.0  # no-pair probabilities for chain lengths 0 and 1
+        steps, hi = 0, N
+        while hi >= first:  # from n = N down, largest first
+            length = (N + 1) // hi
+            lo = max(first, (N + 1) // (length + 1) + 1)
+            for _ in range(length - steps):
+                prev, cur = cur, q * cur + pq * prev
+            steps = length
+            for top in range(hi, lo - 1, -_CHUNK):
+                n = np.arange(top, max(lo, top - _CHUNK + 1) - 1, -1)
+                # N+1 - length*n chains have length + 1 elements and the
+                # other (length+1)*n - (N+1) have length.
+                longer = N + 1 - length * n
+                missing = _powers(cur, longer)
+                if length > 1:  # else prev is 1.0, and 1.0 ** k is exactly 1.0
+                    missing *= _powers(prev, n - longer)
+                missing *= 2.0
+                yield missing.tolist()
+            hi = lo - 1
+        yield [q ** (N + 1)]  # 0 is missing iff A is empty
+
+    return math.fsum(chain.from_iterable(chunks()))

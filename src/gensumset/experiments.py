@@ -198,6 +198,8 @@ class ExperimentConfig:
         self._require_decay(density.Regime.SLOW_H2)
         for N in self.Ns:
             p = effective_p(self._sample_params(N))
+            if p >= 1.0:  # the exact laws need p < 1
+                raise ConfigError(f"c: p(N) = {p} at N = {N}; slow-h2 needs p < 1")
             if 4.0 / p**2 >= (2 * N + 1) / 10.0:
                 raise ConfigError(
                     f"N: {N} is too small for delta={self.delta}; the predicted "

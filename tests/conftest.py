@@ -8,6 +8,7 @@ they check.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import product
 
 from gensumset import SignedCombination
@@ -64,3 +65,15 @@ def expected_missing_diffs_by_subsets(N: int, p: float) -> float:
                 diffs.add(a - b)
         contributions.append(subset_weight(bits, N, p) * (2 * N + 1 - len(diffs)))
     return math.fsum(contributions)
+
+
+def peak_traced_bytes(call) -> int:
+    """The most bytes that tracemalloc saw allocated at once during call()."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -250,6 +250,13 @@ def test_exit_code_2_on_config_errors(capsys, tmp_path):
         assert code == 2, (field, value)
         assert f"configuration error: {field}: " in err
         assert out == ""
+    # slow-h2 at p(N) = 1 exits 2 naming c and N, before any trial is drawn
+    config_path.write_text(json.dumps({"kind": "slow-h2", "N": [1000], "trials": 2,
+                                       "seed": 1, "c": 7.943282347242815,
+                                       "delta": "3/10"}))
+    code, out, err = _run(capsys, "experiment", "--config", str(config_path))
+    assert code == 2
+    assert "configuration error: c: " in err and "N = 1000" in err and out == ""
     # a config document that is not a JSON object exits 2, saying so
     for document, name in (("5", "int"), ("null", "NoneType"), ('["kind"]', "list")):
         config_path.write_text(document)

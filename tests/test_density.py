@@ -6,7 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import expected_missing_diffs_by_subsets, missing_sum_probs_by_subsets
+from conftest import (
+    expected_missing_diffs_by_subsets,
+    missing_sum_probs_by_subsets,
+    peak_traced_bytes,
+)
 from gensumset import (
     Regime,
     SignedCombination,
@@ -370,7 +374,8 @@ def test_missing_sum_law_hypothesis(N, p):
 
 
 # The per-value loops the two exact laws were first written as.  The laws now
-# share chain recurrences and work in numpy, and must keep every bit.
+# share chain recurrences, take each power from math.pow and stream their
+# terms in chunks into one fsum, largest first, and must keep every bit.
 
 
 def _expected_missing_sums_loop(N, p):
@@ -410,6 +415,11 @@ def _expected_missing_diffs_loop(N, p):
         (2 * 10**5, (2 * 10**5) ** -0.3),
         (10**6, (10**6) ** -0.3),
         (3 * 10**6, (3 * 10**6) ** -0.3),
+        # sums run to the midpoint untruncated across several chunks, at both
+        # parities of N; every n kept, and chain length 3 alone spans 16.7k n
+        (10**5, 0.001),
+        (10**5 + 1, 0.001),
+        (2 * 10**5, 0.02),
     ],
 )
 def test_missing_laws_equal_the_loops_bit_for_bit(N, p):
@@ -427,3 +437,14 @@ def test_missing_laws_equal_the_loops_small_n(N, p):
     # run to the midpoint, and differences with and without skipped n.
     assert expected_missing_sums_h2(N, p) == _expected_missing_sums_loop(N, p)
     assert expected_missing_diffs_h2(N, p) == _expected_missing_diffs_loop(N, p)
+
+
+def test_missing_laws_stream_their_terms():
+    # At slow_h2's N and p, each law holds no full-length array: its traced
+    # peak stays below 2 MB, where the 557k terms alone take 4.5 MB.
+    N = 10**6
+    p = N**-0.3
+    expected_missing_diffs_h2.cache_clear()
+    for law in (expected_missing_sums_h2, expected_missing_diffs_h2):
+        peak = peak_traced_bytes(lambda: law(N, p))
+        assert peak < 2 * 2**20, (law.__name__, peak)

@@ -1,5 +1,4 @@
 import io
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_combos
+from conftest import all_combos, peak_traced_bytes
 from gensumset import (
     BudgetError,
     SampledSet,
@@ -612,18 +611,6 @@ def test_trial_record_folds_each_shared_prefix_once(monkeypatch):
     assert record == _per_set_record(A, combos, (), gen_sumset)
 
 
-def _peak_bytes(call):
-    """The most bytes that tracemalloc saw allocated at once during call()."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_trial_record_allocates_no_output_vector_after_its_first_call():
     # At critical_h3's parameters both combos take the byte fold.  With the
     # buffers of an earlier trial, the second trial allocates less at once
@@ -636,5 +623,5 @@ def test_trial_record_allocates_no_output_vector_after_its_first_call():
     vector = (3 * N + 8) // 8
     buffers = FoldBuffers()
     trial_record(first, combos, (), buffers)
-    assert _peak_bytes(lambda: trial_record(second, combos, (), buffers)) < vector
-    assert _peak_bytes(lambda: trial_record(second, combos, (), FoldBuffers())) > vector
+    assert peak_traced_bytes(lambda: trial_record(second, combos, (), buffers)) < vector
+    assert peak_traced_bytes(lambda: trial_record(second, combos, (), FoldBuffers())) > vector
