@@ -14,15 +14,17 @@ in `BENCHMARK.json`, each of 10 pairs runs `perfbench/run.py --workload W
 base runs first in even pairs and the change in odd ones, so a drift of the
 machine's speed during a pair does not always favour one side.  Only pairs
 measured in the same session can be compared, which is why every change
-writes its own file.
+writes its own file.  Tier-1 runs on both sides in 3 pairs, alternating
+the same way.
 
 The file holds the machine (nproc, CPU model, Python and numpy versions),
 per workload each side's failed and attempted operations and each run's
 `correct` flag, per end-to-end metric each side's runs, median and
 quartiles (`statistics.quantiles`' default exclusive method, as
 `perfbench/spread.py` uses) and the change's wins out of the pairs, and
-each side's tier-1 per-test durations (`pytest --durations=0`, which hides
-those under 5 ms).  Only the standard library is used.
+per side each tier-1 run's wall time and passed and failed counts, and the
+median of each test's duration over its runs (`pytest --durations=0`, which
+hides those under 5 ms, read as 0).  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "--durations=0"]
 PAIRS = 10
+TIER1_PAIRS = 3
+COUNT = re.compile(r"(\d+) (passed|failed)")
 DURATION = re.compile(r"^\s*([0-9.]+)s (setup|call|teardown)\s+(\S+)\s*$")
 
 
@@ -83,8 +87,14 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def alternate(i: int) -> tuple[str, str]:
+    """The order in which pair i runs the sides: the base first in even pairs."""
+    return ("base", "change") if i % 2 == 0 else ("change", "base")
+
+
 def tier1(side: Path) -> dict:
-    """Wall time, summary line and per-test durations (all phases summed)."""
+    """One run: wall time, passed and failed counts, summary line and per-test
+    durations (all phases summed)."""
     env = dict(os.environ, PYTHONPATH="src")
     start = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=side, env=env, capture_output=True, text=True)
@@ -95,8 +105,30 @@ def tier1(side: Path) -> dict:
             test = match[3]
             durations[test] = round(durations.get(test, 0.0) + float(match[1]), 3)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    return {"wall_s": round(wall, 2), "summary": summary.strip("= "),
-            "durations_s": dict(sorted(durations.items(), key=lambda kv: -kv[1]))}
+    counts = {kind: int(n) for n, kind in COUNT.findall(summary)}
+    return {"wall_s": round(wall, 2), "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "summary": summary.strip("= "),
+            "durations_s": durations}
+
+
+def tier1_pairs(sides: dict[str, Path]) -> dict:
+    """Each side's tier-1 runs, TIER1_PAIRS of them alternating with the other side's."""
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    for i in range(TIER1_PAIRS):
+        for side in alternate(i):
+            runs[side].append(tier1(sides[side]))
+            print(f"tier-1 pair {i + 1} {side}: {runs[side][-1]['summary']}", file=sys.stderr)
+    out = {}
+    for side, side_runs in runs.items():
+        tests = set().union(*(run["durations_s"] for run in side_runs))
+        medians = {test: statistics.median(run["durations_s"].get(test, 0.0)
+                                           for run in side_runs) for test in tests}
+        out[side] = {"median_wall_s": statistics.median(run["wall_s"] for run in side_runs),
+                     "runs": [{k: v for k, v in run.items() if k != "durations_s"}
+                              for run in side_runs],
+                     "median_durations_s": dict(sorted(medians.items(),
+                                                       key=lambda kv: -kv[1]))}
+    return out
 
 
 def machine() -> dict:
@@ -129,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def compare(args: argparse.Namespace, sides: dict[str, Path]) -> dict:
-    """The file's contents: the pairs of every workload, then tier-1 on each side."""
+    """The file's contents: the pairs of every workload, then tier-1's pairs."""
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
@@ -138,7 +170,7 @@ def compare(args: argparse.Namespace, sides: dict[str, Path]) -> dict:
     for workload in (w["name"] for w in spec["workloads"]):
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         for i in range(PAIRS):
-            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            for side in alternate(i):
                 runs[side].append(bench(sides[side], workload, seconds, list(metrics),
                                         f"{workload} pair {i + 1} {side}"))
                 print(f"{workload} pair {i + 1} {side}: "
@@ -160,7 +192,7 @@ def compare(args: argparse.Namespace, sides: dict[str, Path]) -> dict:
     return {"pr": args.pr, "base": args.base, "change": args.change,
             "command": spec["command"] + ["--seconds", str(seconds)],
             "machine": machine(), "workloads": workloads,
-            "tier1": {side: tier1(path) for side, path in sides.items()}}
+            "tier1": tier1_pairs(sides)}
 
 
 if __name__ == "__main__":

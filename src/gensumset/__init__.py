@@ -48,7 +48,6 @@ from .sumset import (
     TupleStatistics,
     gen_sumset,
     gen_sumset_naive,
-    mstd_classify,
     tuple_statistics,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "gen_sumset_naive",
     "limit_density",
     "missing_sum_probability_h2",
-    "mstd_classify",
     "predicted_ratio",
     "predicted_xk",
     "rep_count",

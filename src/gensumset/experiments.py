@@ -4,19 +4,16 @@ Every experiment is a pure function of (config, seed).  All kinds but
 b-convergence, which has no trials, run one pipeline: trial t samples A from
 sub-stream (seed, t), computes the kind's generalized sumsets and returns
 one integer record, (|A|, |A_combo| per combo, bitmask of probe values
-missing from the first sumset).  Up to sumset.BIT_SLICE_MAX_N the trials of
-a chunk are sampled and folded in batches (sample_members, batch_records);
-above it, one sumset.trial_record call a trial folds a prefix its combos
-share, A + A for (2,1) and (3,0), once.  The records are the same either
-way.  The byte folds of one N reuse one FoldBuffers per process (per chunk
-in a pool worker), released with the N's last record, before the summaries
-and the exact laws run.  Each process draws a large trial's stream on
-cores // processes threads (sample_set's threads); the set is the same on
-any number of threads.  An ordered map yields the records in trial order,
-and each kind turns one N's records into rows, checks and extras.  Records
-are per trial, so neither the chunking nor the worker count can change a
-report.  mstd folds exact integer moments as records arrive; every other
-statistic is summarized by compensated two-pass summation.
+missing from the first sumset).  This module only asks for the records of
+each N, by one sumset.records call, which samples the trials and chooses
+every kernel.  In one process that call covers all of an N's trials; a
+pool maps chunks of them over its workers, in order.  Each process draws a
+large trial's stream on cores // processes threads; the set is the same on
+any number of threads.  Each kind turns one N's records into rows, checks
+and extras.  Records are per trial, so neither the chunking nor the worker
+count can change a report.  mstd folds exact integer moments as records
+arrive; every other statistic is summarized by compensated two-pass
+summation.
 
 Predicted values come from direct density calls; tolerances live in the
 config because the limit theorems carry no convergence rates, making pass
@@ -29,15 +26,15 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 
-from . import density
+from . import density, sumset
 from ._version import VERSION
 from .combinat import BudgetError, SignedCombination
-from .sampling import SampleParameters, effective_p, sample_members, sample_set
-from .sumset import BIT_SLICE_MAX_N, DEFAULT_BIT_BUDGET, FoldBuffers, batch_records, trial_record
+from .sampling import SampleParameters, effective_p
+from .sampling import sample_set  # noqa: F401  (perfbench's traced pass wraps this name)
 from .sumset import gen_sumset  # noqa: F401  (perfbench's traced pass wraps this name)
 
 _DEFAULT_TOLERANCE = {
@@ -120,7 +117,7 @@ class ExperimentConfig:
     p: float | None = _json(_number, default=None)
     k: int = _json(_integer, default=1)
     tolerance: float | None = _json(_number, default=None)
-    bit_budget: int = _json(_integer, default=DEFAULT_BIT_BUDGET)
+    bit_budget: int = _json(_integer, default=sumset.DEFAULT_BIT_BUDGET)
     fraction_window: tuple[float, float] = _json(_window, list, default=_FRACTION_WINDOW)
 
     def __post_init__(self) -> None:
@@ -192,9 +189,15 @@ class ExperimentConfig:
             raise ConfigError("combos: all combos must share the summand count h")
         self._require_decay(density.Regime.CRITICAL)
 
+    def _require_sum_diff(self) -> None:
+        if self.combos != _SUM_DIFF:
+            raise ConfigError(
+                f"combos: {self.kind} always compares the sumset (2,0) against the "
+                "difference set (1,1); leave combos unset"
+            )
+
     def _validate_slow_h2(self) -> None:
-        if any(combo.h != 2 for combo in self.combos):
-            raise ConfigError("combos: slow-h2 is a two-summand experiment")
+        self._require_sum_diff()
         self._require_decay(density.Regime.SLOW_H2)
         for N in self.Ns:
             p = effective_p(self._sample_params(N))
@@ -207,11 +210,7 @@ class ExperimentConfig:
                 )
 
     def _validate_mstd(self) -> None:
-        if self.combos != _SUM_DIFF:
-            raise ConfigError(
-                "combos: mstd always compares the sumset (2,0) against the "
-                "difference set (1,1); leave combos unset"
-            )
+        self._require_sum_diff()
         if self.p is None:
             raise ConfigError("p: mstd requires a fixed inclusion probability")
         if not 0.0 < self.p < 1.0:
@@ -390,63 +389,34 @@ def _row(config, combo, N, stats, excluded, statistic, predicted, trials=None):
 # ---------------------------------------------------------------------------
 # the trial pipeline
 
-# A chunk holds about _CHUNK_DRAWS sampler draws, and at most _CHUNK_TRIALS
-# trials: enough work to hide the cost of shipping it to a worker, little
-# enough that workers do not idle at the tail.  Records are per trial, so the
-# chunk size never reaches a report.
+# A pool chunk holds about _CHUNK_DRAWS sampler draws, and at most
+# _CHUNK_TRIALS trials: enough work to hide the cost of shipping it to a
+# worker, little enough that workers do not idle at the tail.  Records are
+# per trial, so the chunk size never reaches a report.
 _CHUNK_DRAWS = 1 << 19
 _CHUNK_TRIALS = 4096
-# Up to BIT_SLICE_MAX_N a chunk runs in batches of whole 64-set words, sized
-# so that a batch's largest temporaries, the membership matrix and one
-# sumset unpacked to a byte per set and value, stay near _BATCH_BYTES.
-_BATCH_BYTES = 1 << 16
 
 
-def _trial_records(config, N, combos, probes, trials: range, threads: int = 1,
-                   buffers: FoldBuffers | None = None) -> list[tuple[int, ...]]:
-    """One record per trial: (|A|, |A_combo| for each combo, missing-probe mask).
-
-    Bit j of the bitmask is set when probes[j] is missing from the first
-    combo's sumset.  Up to BIT_SLICE_MAX_N, batches of trials are sampled
-    and folded together by sample_members and batch_records.  Above it,
-    each trial calls sample_set on `threads` threads and trial_record, whose
-    byte folds write into buffers (fresh ones by default).
-    """
-    params = config._sample_params(N)
-    if N > BIT_SLICE_MAX_N:
-        buffers = buffers or FoldBuffers()
-        return [trial_record(sample_set(replace(params, trial_index=t), threads=threads),
-                             combos, probes, buffers) for t in trials]
-    span = max(combo.h for combo in combos) * N + 1
-    size = 64 * max(1, _BATCH_BYTES // (64 * span))
-    records = []
-    for lo in range(trials.start, trials.stop, size):
-        batch = range(lo, min(lo + size, trials.stop))
-        records += batch_records(sample_members(params, batch), combos, probes)
-    return records
+def _chunk(params, combos, probes, threads, trials: range) -> list[tuple[int, ...]]:
+    """The records of one pool chunk, as a list a worker can send back."""
+    return list(sumset.records(params, trials, combos, probes, threads))
 
 
 def _records(config, workers, N, combos, probes=()):
-    """Yield the record of every trial at ground-set size N, in trial order.
-
-    The chunks run in this process share one FoldBuffers, released with the
-    last record; a pool worker makes one for each chunk.
-    """
+    """Yield the record of every trial at ground-set size N, in trial order."""
+    params = config._sample_params(N)
     size = max(1, min(_CHUNK_TRIALS, _CHUNK_DRAWS // (N + 1)))
     T = config.trials
     chunks = [range(t, min(t + size, T)) for t in range(0, T, size)]
     # A pool forks all of its workers up front, so it gets no more than
     # there are chunks.
     processes = 1 if workers <= 1 else min(workers, len(chunks))
-    measure = partial(_trial_records, config, N, combos, probes,
-                      threads=max(1, _cores() // processes))
+    threads = max(1, _cores() // processes)
     if processes == 1:
-        buffers = FoldBuffers()
-        for chunk in chunks:
-            yield from measure(chunk, buffers=buffers)
+        yield from sumset.records(params, range(T), combos, probes, threads)
         return
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        for records in pool.map(measure, chunks):
+        for records in pool.map(partial(_chunk, params, combos, probes, threads), chunks):
             yield from records
 
 

@@ -114,6 +114,8 @@ class SampledSet:
     elements: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.N < 0:
+            raise ValueError(f"N: must be non-negative, got {self.N}")
         elements = np.asarray(self.elements, dtype=np.int64)
         object.__setattr__(self, "elements", elements)
         if elements.size:

@@ -38,7 +38,7 @@ all three give the same sumset.
   enumerated instead: each fold takes the outer sum of the distinct values
   so far with the sorted elements (or their reflection), sorts it and
   drops equal neighbours.  gen_sumset scatters the distinct offsets into
-  zeroed bytes; trial_record counts them and finds its probes by binary
+  zeroed bytes; _trial_record counts them and finds its probes by binary
   search.  Its cost follows |A|^h, not N.  The rule is a memory cap:
   the last outer sum holds at most |A|^h int64 entries, so with its sort
   mask and its distinct copy its temporaries take at most 17|A|^h bytes,
@@ -59,33 +59,39 @@ after the byte fold, a SWAR popcount over little-endian uint64 words in
 blocks of 64 KB.  Only APIs of numpy 1.22, the declared minimum, are used:
 no np.bitwise_count (numpy 2.0).
 
-trial_record(A, combos, probes, buffers) is the experiment pipeline's
-entry for one set above BIT_SLICE_MAX_N, and gen_sumset is its one-combo
-case; both run the folds of _walk.  It returns the integer record (|A|,
-|A_combo| for each combo, missing-probe mask) and builds no
-GenSumsetResult.  Combos whose fold sequences, s - 1 copies of A then d of
-its reflection, share a prefix fold it once: (2,1) and (3,0) share A + A.
-Byte folds write into a FoldBuffers: the vector at depth j, a (j + 1)-fold
-sum, takes (j + 1)(N // 8 + 1) bytes whatever A, and two word copies of the
-deepest input take about as much again, so a caller that keeps one
-FoldBuffers for the trials of one N allocates during the first trial only.
-At N = 10^6, h = 3 and |A| ~ 200 that is about 1.25 MB, and the record's
-sumsets took 6.9 ms a trial in one warm process, against 10 ms for
-gen_sumset called combo by combo (2 cores, numpy 2.4.6).
+records(params, trials, combos, probes, threads) is the experiment
+pipeline's one entry, and every kernel decision is made below it.  It
+samples each trial of a range and yields its integer record (|A|, |A_combo|
+for each combo, missing-probe mask), in trial order.  Up to BIT_SLICE_MAX_N
+it samples and folds the trials in bit-sliced batches (sample_members,
+_batch_records); above it, it draws each set on `threads` threads
+(sample_set) and folds it with _trial_record, whose kernel kernel_branch
+picks.  The records are the same either way.
 
-`batch_records` runs the same folds for a batch of small sets at once,
+_trial_record(A, combos, probes, buffers) runs the folds of _walk for one
+set, and gen_sumset is its one-combo case.  It builds no GenSumsetResult.
+Combos whose fold sequences, s - 1 copies of A then d of its reflection,
+share a prefix fold it once: (2,1) and (3,0) share A + A.  Byte folds write
+into a FoldBuffers: the vector at depth j, a (j + 1)-fold sum, takes
+(j + 1)(N // 8 + 1) bytes whatever A, and two word copies of the deepest
+input take about as much again, so records, which keeps one FoldBuffers
+for all its trials, allocates during the first trial only.  At N = 10^6,
+h = 3 and |A| ~ 200 that is about 1.25 MB, and the record's sumsets took
+6.9 ms a trial in one warm process, against 10 ms for gen_sumset called
+combo by combo (2 cores, numpy 2.4.6).
+
+_batch_records runs the same folds for a batch of small sets at once,
 bit-sliced: bit i of word (w, a) says whether set 64w + i contains a, so
-each numpy operation on a row of words works on 64 sets.  It returns the
-integer records of the experiment pipeline, equal to what gen_sumset gives
-set by set.  Its cost is about N * hN / 64 word operations a set whatever
-the density, where the per-set folds cost |A| shifts each, so it is used up
-to BIT_SLICE_MAX_N = 512 only.  That is the measured crossover for sparse
-sets (2 cores, numpy 2.4.6, a whole trial with its sampling, against the
-per-set path): at N = 500 the batch is 1.0-1.2x as fast for h = 3 at
-p = 2N^(-2/3) and N^(-4/5), 2.1-2.6x for h = 2 at p = N^(-1/2) and
-N^(-3/4), and 3.7-4.5x at p = 1/2; at N = 600-700 the two h = 3 cases drop
-to 0.64-0.99x.  At N = 100 and p = 1/2 a trial costs about 10 us, against
-about 90 us set by set.
+each numpy operation on a row of words works on 64 sets.  Its records equal
+what gen_sumset gives set by set.  Its cost is about N * hN / 64 word
+operations a set whatever the density, where the per-set folds cost |A|
+shifts each, so it is used up to BIT_SLICE_MAX_N = 512 only.  That is the
+measured crossover for sparse sets (2 cores, numpy 2.4.6, a whole trial
+with its sampling, against the per-set path): at N = 500 the batch is
+1.0-1.2x as fast for h = 3 at p = 2N^(-2/3) and N^(-4/5), 2.1-2.6x for
+h = 2 at p = N^(-1/2) and N^(-3/4), and 3.7-4.5x at p = 1/2; at
+N = 600-700 the two h = 3 cases drop to 0.64-0.99x.  At N = 100 and p = 1/2
+a trial costs about 10 us, against about 90 us set by set.
 
 An exhaustive enumeration oracle and class-collision tallies (the X_k
 statistics) are provided at small scale, guarded by tuple budgets.
@@ -95,12 +101,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .combinat import DEFAULT_TUPLE_BUDGET, BudgetError, SignedCombination, class_tally
-from .sampling import SampledSet, scatter_bits
+from .sampling import SampledSet, SampleParameters, sample_members, sample_set, scatter_bits
 
 DEFAULT_BIT_BUDGET = 10**9
 BYTE_FOLD_MIN_N = 1 << 15
@@ -113,10 +119,10 @@ _WINDOW_REFRESH = 32  # bytes a windowed fold ORs per window byte between two na
 _WINDOW_MIN_COVERS = 32  # expected covers of an output bit from which a fold is windowed
 _M1, _M2, _M4, _H01 = (np.uint64(0x0101010101010101 * m) for m in (0x55, 0x33, 0x0F, 1))
 _CSV_ROWS = 1 << 16  # membership rows that write_membership_csv formats at once
-
-SUM_DOMINATED = "sum-dominated"
-BALANCED = "balanced"
-DIFFERENCE_DOMINATED = "difference-dominated"
+# Up to BIT_SLICE_MAX_N, records folds a batch of whole 64-set words, sized
+# so that a batch's largest temporaries, the membership matrix and one
+# sumset unpacked to a byte per set and value, stay near _BATCH_BYTES.
+_BATCH_BYTES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,36 +131,28 @@ class GenSumsetResult:
 
     packed holds the membership vector as (hN + 8) // 8 little-endian bytes
     (numpy uint8), with bit n + dN set iff n is generated.
-    cardinality + complement_count = hN + 1 always.
     """
 
     combo: SignedCombination
     N: int
     packed: np.ndarray
     cardinality: int
-    complement_count: int
 
     @property
     def span(self) -> int:
         return self.combo.h * self.N + 1
 
+    @property
+    def complement_count(self) -> int:
+        return self.span - self.cardinality
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, GenSumsetResult):
             return NotImplemented
         return (
-            (self.combo, self.N, self.cardinality, self.complement_count)
-            == (other.combo, other.N, other.cardinality, other.complement_count)
+            (self.combo, self.N, self.cardinality) == (other.combo, other.N, other.cardinality)
             and np.array_equal(self.packed, other.packed)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.combo, self.N, self.packed.tobytes()))
-
-    def contains(self, n: int) -> bool:
-        offset = n + self.combo.d * self.N
-        if offset < 0 or offset >= self.span:
-            return False
-        return bool(self.packed[offset >> 3] >> (offset & 7) & 1)
 
     def _members(self) -> np.ndarray:
         """One uint8 0/1 per value of the range, in order."""
@@ -375,13 +373,6 @@ def kernel_branch(N: int, h: int, size: int) -> str:
     return "bytes"
 
 
-def _result(combo: SignedCombination, N: int, packed: np.ndarray,
-            cardinality: int) -> GenSumsetResult:
-    span = combo.h * N + 1
-    return GenSumsetResult(combo=combo, N=N, packed=packed, cardinality=cardinality,
-                           complement_count=span - cardinality)
-
-
 def _walk(A: SampledSet, combos, buffers: FoldBuffers):
     """Fold the sumset of each combo of A; yield (index, branch, folded sum).
 
@@ -457,20 +448,18 @@ def _missing(branch: str, folded, offsets, span: int) -> int:
     return mask
 
 
-def trial_record(A: SampledSet, combos, probes=(),
-                 buffers: FoldBuffers | None = None) -> tuple[int, ...]:
+def _trial_record(A: SampledSet, combos, probes, buffers: FoldBuffers) -> tuple[int, ...]:
     """(|A|, |A_combo| for each combo, missing-probe mask) of one set.
 
     Bit j of the mask is set when probes[j] is missing from the first
-    combo's sumset: the integers batch_records gives for a batch of sets.
+    combo's sumset: the integers _batch_records gives for a batch of sets.
     The sumsets are folded by _walk, each shared prefix once, and reduced
     to integers in place; no GenSumsetResult is built and the enumeration
-    scatters nothing.  Byte folds write into buffers, which a caller keeps
-    for all the sets of one N so that only the first call allocates them.
+    scatters nothing.  Byte folds write into buffers.
     """
     record = [A.size] + [0] * len(combos)
     missing = 0
-    for i, branch, folded in _walk(A, combos, buffers or FoldBuffers()):
+    for i, branch, folded in _walk(A, combos, buffers):
         combo = combos[i]
         span = combo.h * A.N + 1
         record[i + 1] = _cardinality(branch, folded, span)
@@ -484,7 +473,7 @@ def gen_sumset(
 ) -> GenSumsetResult:
     """Membership and cardinality of the generalized sumset of A.
 
-    The one-combo case of trial_record's walk (_walk); the result owns its
+    The one-combo case of _trial_record's walk (_walk); the result owns its
     packed bytes.
     """
     span = combo.h * A.N + 1
@@ -501,7 +490,7 @@ def gen_sumset(
         packed = scatter_bits(folded, np.empty(nbytes, dtype=np.uint8))
     else:
         packed = folded[:nbytes].copy()
-    return _result(combo, A.N, packed, cardinality)
+    return GenSumsetResult(combo=combo, N=A.N, packed=packed, cardinality=cardinality)
 
 
 def _fold_words(acc: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -539,7 +528,7 @@ def _unpacked(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8).reshape(W, L, 8), axis=2, bitorder="little")
 
 
-def batch_records(
+def _batch_records(
     members: np.ndarray, combos: tuple[SignedCombination, ...], probes=()
 ) -> list[tuple[int, ...]]:
     """Records of a batch of sets given as a bool membership matrix (T, N+1).
@@ -576,6 +565,26 @@ def batch_records(
     return list(zip(*columns, masks))
 
 
+def records(params: SampleParameters, trials: range, combos, probes=(), threads: int = 1):
+    """Yield (|A|, |A_combo| for each combo, missing-probe mask) for each trial, in order.
+
+    Bit j of the mask is set when probes[j] is missing from the first
+    combo's sumset; params.trial_index is ignored.  The experiment
+    pipeline's one entry, which samples the sets and picks the kernel (see
+    the module docstring); the FoldBuffers is released with the last record.
+    """
+    if params.N > BIT_SLICE_MAX_N:
+        buffers = FoldBuffers()
+        for t in trials:
+            A = sample_set(replace(params, trial_index=t), threads=threads)
+            yield _trial_record(A, combos, probes, buffers)
+        return
+    span = max(combo.h for combo in combos) * params.N + 1
+    size = 64 * max(1, _BATCH_BYTES // (64 * span))
+    for lo in range(0, len(trials), size):
+        yield from _batch_records(sample_members(params, trials[lo : lo + size]), combos, probes)
+
+
 def gen_sumset_naive(
     A: SampledSet, combo: SignedCombination, tuple_budget: int = DEFAULT_TUPLE_BUDGET
 ) -> GenSumsetResult:
@@ -594,7 +603,8 @@ def gen_sumset_naive(
     distinct = np.unique(values)
     mask = np.zeros(combo.h * A.N + 1, dtype=bool)
     mask[distinct + combo.d * A.N] = True
-    return _result(combo, A.N, np.packbits(mask, bitorder="little"), distinct.size)
+    return GenSumsetResult(combo=combo, N=A.N, packed=np.packbits(mask, bitorder="little"),
+                           cardinality=distinct.size)
 
 
 def tuple_statistics(
@@ -624,13 +634,3 @@ def tuple_statistics(
     }
     return TupleStatistics(combo=combo, N=A.N, class_counts=dict(class_counts), x=x)
 
-
-def mstd_classify(A: SampledSet) -> str:
-    """Compare |A+A| against |A-A|: sum-dominated, balanced, or difference-dominated."""
-    sums = gen_sumset(A, SignedCombination(2, 0)).cardinality
-    diffs = gen_sumset(A, SignedCombination(1, 1)).cardinality
-    if sums > diffs:
-        return SUM_DOMINATED
-    if sums < diffs:
-        return DIFFERENCE_DOMINATED
-    return BALANCED

@@ -257,6 +257,14 @@ def test_exit_code_2_on_config_errors(capsys, tmp_path):
     code, out, err = _run(capsys, "experiment", "--config", str(config_path))
     assert code == 2
     assert "configuration error: c: " in err and "N = 1000" in err and out == ""
+    # slow-h2 runs (2,0) and (1,1) only, so other combos exit 2 rather than
+    # being echoed in a report of that pair
+    config_path.write_text(json.dumps({"kind": "slow-h2", "N": [20000], "c": 1.0,
+                                       "delta": "3/10", "trials": 3, "seed": 1,
+                                       "combos": [[1, 1]]}))
+    code, out, err = _run(capsys, "experiment", "--config", str(config_path))
+    assert code == 2
+    assert err.startswith("configuration error: combos: ") and out == ""
     # a config document that is not a JSON object exits 2, saying so
     for document, name in (("5", "int"), ("null", "NoneType"), ('["kind"]', "list")):
         config_path.write_text(document)
@@ -290,3 +298,12 @@ def test_exit_code_3_on_budget_refusal(capsys):
     code, _, err = _run(capsys, "rcount", "--N", "1000000000", "--s", "2", "--d", "0")
     assert code == 3
     assert "budget" in err.lower() or "refused" in err.lower()
+
+
+@pytest.mark.parametrize("command", ["sumset", "xk"])
+def test_negative_n_set_file_exits_2(command, capsys, tmp_path):
+    set_path = tmp_path / "set.txt"
+    set_path.write_text("N=-5\n\n")
+    code, out, err = _run(capsys, command, "--infile", str(set_path), "--s", "1", "--d", "1")
+    assert code == 2
+    assert err.startswith("configuration error: N: ") and out == ""

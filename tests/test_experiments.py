@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from fractions import Fraction
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from gensumset import BudgetError, ConfigError, SignedCombination, sample_set
-from gensumset import density, experiments
+from gensumset import density, experiments, sumset
 from gensumset.experiments import (
     ExperimentConfig,
     config_from_jsonable,
@@ -14,7 +15,6 @@ from gensumset.experiments import (
     run_experiment,
 )
 from gensumset.sampling import SampleParameters
-from gensumset.sumset import trial_record
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
@@ -180,8 +180,8 @@ def test_budget_refused_before_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled a set for an over-budget config")
 
-    monkeypatch.setattr(experiments, "sample_set", no_sampling)
-    monkeypatch.setattr(experiments, "sample_members", no_sampling)
+    monkeypatch.setattr(sumset, "sample_set", no_sampling)
+    monkeypatch.setattr(sumset, "sample_members", no_sampling)
     # the budget admits the first N, not the second: nothing may be sampled
     config = _fast_config(Ns=(1000, 600_000), bit_budget=10**6)
     with pytest.raises(BudgetError, match="N: 600000"):
@@ -412,7 +412,7 @@ def test_reports_regenerate_with_each_trial_drawn_on_several_threads(stem, cores
         return sample_set(params, threads=threads)
 
     monkeypatch.setattr(experiments, "_cores", lambda: cores)
-    monkeypatch.setattr(experiments, "sample_set", spy)
+    monkeypatch.setattr(sumset, "sample_set", spy)
     data = json.loads((ROOT / "scripts" / "configs" / f"{stem}.json").read_text())
     report = run_experiment(config_from_jsonable(data), workers=1)
     assert report.to_json() == (ROOT / "results" / f"{stem}.json").read_text()
@@ -448,7 +448,7 @@ def test_threads_follow_the_processes_that_run(trials, workers, threads, monkeyp
         return sample_set(params, threads=threads)
 
     monkeypatch.setattr(experiments, "_cores", lambda: 2)
-    monkeypatch.setattr(experiments, "sample_set", spy)
+    monkeypatch.setattr(sumset, "sample_set", spy)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
     combos = (SignedCombination(2, 1), SignedCombination(3, 0))
     config = _fast_config(Ns=(10**6,), trials=trials, combos=combos, delta=Fraction(4, 5))
@@ -457,15 +457,16 @@ def test_threads_follow_the_processes_that_run(trials, workers, threads, monkeyp
 
 
 def test_trials_of_one_n_share_one_set_of_buffers(monkeypatch):
-    # Run in this process, every chunk of an N folds into the same buffers;
-    # the next N gets new ones.
+    # Run in this process, every trial of an N folds into the same buffers,
+    # whatever the pool's chunk size; the next N gets new ones.
     used = []
+    trial_record = sumset._trial_record
 
     def spy(A, combos, probes, buffers):
         used.append((A.N, id(buffers)))
         return trial_record(A, combos, probes, buffers)
 
-    monkeypatch.setattr(experiments, "trial_record", spy)
+    monkeypatch.setattr(sumset, "_trial_record", spy)
     monkeypatch.setattr(experiments, "_CHUNK_TRIALS", 2)
     run_experiment(_fast_config(Ns=(4000, 8000), trials=5), workers=1)
     assert [N for N, _ in used] == [4000] * 5 + [8000] * 5
@@ -480,32 +481,33 @@ def test_workers_must_be_at_least_one():
 
 @pytest.mark.parametrize("chunk_trials", [1, 63, 64, 65])
 def test_chunk_size_never_reaches_a_report(chunk_trials, monkeypatch):
+    # Chunks exist only in a pool, so the chunks run through an inline one.
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(experiments, "_CHUNK_TRIALS", chunk_trials)
-    _assert_golden(run_experiment(_MSTD), "mstd")
-    _assert_golden(run_experiment(_CONCENTRATION), "concentration")
+    _assert_golden(run_experiment(_MSTD, workers=2), "mstd")
+    _assert_golden(run_experiment(_CONCENTRATION, workers=2), "concentration")
 
 
 def test_batched_and_per_trial_paths_give_the_same_records(monkeypatch):
-    # Up to BIT_SLICE_MAX_N a chunk is sampled and folded in batches; above
-    # it, trial by trial.  Both give the same records, probe masks included.
-    N = experiments.BIT_SLICE_MAX_N
-    config = ExperimentConfig(kind="slow-h2", Ns=(N,), trials=135, seed=3, c=1.0,
-                              delta=Fraction(1, 10))
+    # Up to BIT_SLICE_MAX_N sumset.records samples and folds the trials in
+    # batches; above it, trial by trial.  Both give the same records, probe
+    # masks included.
+    N = sumset.BIT_SLICE_MAX_N
+    params = SampleParameters(N=N, seed=3, c=1.0, delta=Fraction(1, 10))
     probes = tuple(range(10)) + tuple(range(2 * N - 9, 2 * N + 1))
 
     def records():
-        return experiments._trial_records(config, N, experiments._SUM_DIFF, probes,
-                                          range(5, 135))
+        return list(sumset.records(params, range(5, 135), experiments._SUM_DIFF, probes))
 
     def other_path(*args):
         raise AssertionError("took the other path")
 
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "sample_set", other_path)
+        patch.setattr(sumset, "sample_set", other_path)
         batched = records()
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "BIT_SLICE_MAX_N", N - 1)
-        patch.setattr(experiments, "sample_members", other_path)
+        patch.setattr(sumset, "BIT_SLICE_MAX_N", N - 1)
+        patch.setattr(sumset, "sample_members", other_path)
         per_trial = records()
     assert batched == per_trial
     assert any(record[-1] for record in batched)  # some probe was missing
@@ -535,3 +537,19 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
         assert opened.pop() == size
     _assert_golden(run_experiment(_MSTD, workers=1), "mstd")  # no pool at all
     assert opened == []
+
+
+def test_benchmark_trace_installs_and_leaves_reports_unchanged(monkeypatch):
+    # perfbench's traced pass assigns experiments.sample_set, .gen_sumset and
+    # .density, so those names must stay, and tracing must not move a report.
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  ROOT / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    configs = (_fast_config(trials=5), _MSTD)
+    untraced = [run_experiment(config).to_json() for config in configs]
+    for name in ("sample_set", "gen_sumset", "density"):
+        monkeypatch.setattr(experiments, name, getattr(experiments, name))
+    layers = worker.install_trace(experiments, density)
+    assert [run_experiment(config).to_json() for config in configs] == untraced
+    assert layers["density"].calls > 0

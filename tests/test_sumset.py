@@ -18,7 +18,6 @@ from gensumset import (
     ext_binom,
     gen_sumset,
     gen_sumset_naive,
-    mstd_classify,
     sample_set,
     tuple_statistics,
 )
@@ -28,13 +27,13 @@ from gensumset.sumset import (
     _POPCOUNT_WORDS,
     BIT_SLICE_MAX_N,
     BYTE_FOLD_MIN_N,
+    _batch_records,
     _enumerated_sums,
     _popcount,
     _shift_or,
     _shift_or_bytes,
+    _trial_record,
     FoldBuffers,
-    batch_records,
-    trial_record,
 )
 
 
@@ -77,12 +76,9 @@ def test_contains_and_extremes():
     A = _set([2, 3, 7], 9)
     for combo in all_combos(2, 4):
         result = gen_sumset(A, combo)
-        low = combo.s * 2 - combo.d * 7
-        high = combo.s * 7 - combo.d * 2
-        assert result.contains(low) and result.contains(high)
-        assert not any(
-            result.contains(n) for n in (low - 1, high + 1, -combo.d * 9 - 5)
-        )
+        values = result.values()
+        assert values[0] == combo.s * 2 - combo.d * 7
+        assert values[-1] == combo.s * 7 - combo.d * 2
         assert result.cardinality + result.complement_count == combo.h * 9 + 1
 
 
@@ -202,9 +198,17 @@ def test_class_count_upper_bound():
 
 
 def test_mstd_classification():
-    assert mstd_classify(_set([0, 2, 3, 4, 7, 11, 12, 14], 14)) == "sum-dominated"
-    assert mstd_classify(_set(range(9), 8)) == "balanced"
-    assert mstd_classify(_set([0, 1, 2, 4], 4)) == "difference-dominated"
+    # Conway's sum-dominated set, a balanced interval and a difference-dominated
+    # set: gen_sumset and the bit-sliced batch agree on the sign of |A+A| - |A-A|.
+    sum_diff = (SignedCombination(2, 0), SignedCombination(1, 1))
+    for elements, N, sign in (([0, 2, 3, 4, 7, 11, 12, 14], 14, 1),
+                              (range(9), 8, 0), ([0, 1, 2, 4], 4, -1)):
+        A = _set(elements, N)
+        sums, diffs = (gen_sumset(A, combo).cardinality for combo in sum_diff)
+        members = np.zeros((1, N + 1), dtype=bool)
+        members[0, A.elements] = True
+        [(_, batch_sums, batch_diffs, _)] = _batch_records(members, sum_diff)
+        assert np.sign(sums - diffs) == np.sign(batch_sums - batch_diffs) == sign
 
 
 def test_budget_errors():
@@ -491,7 +495,6 @@ def _assert_linear_readers_match_int_walk(result):
     result.write_membership_csv(buf)
     assert buf.getvalue() == _membership_csv_by_int_walk(result)
     assert len(result.values()) == result.cardinality
-    assert all(result.contains(n) for n in result.values())
 
 
 def test_values_and_membership_csv_match_int_walk():
@@ -517,7 +520,8 @@ def test_values_and_membership_csv_match_int_walk_hypothesis(N, elements, combo)
 
 def _per_set_record(A, combos, probes, kernel):
     results = [kernel(A, combo) for combo in combos]
-    missing = sum((not results[0].contains(n)) << j for j, n in enumerate(probes))
+    held = set(results[0].values())
+    missing = sum((n not in held) << j for j, n in enumerate(probes))
     return (A.size, *(result.cardinality for result in results), missing)
 
 
@@ -536,11 +540,11 @@ def _per_set_record(A, combos, probes, kernel):
 def test_batch_records_match_per_set_kernels(N, p, T, seed):
     # The bit-sliced batch gives, set by set, the records that gen_sumset
     # and the enumeration oracle give.  Probes outside the value range are
-    # missing, as contains() says.
+    # missing, as values() says.
     combos = tuple(all_combos(2, 4))
     probes = (-N - 1, -1, 0, 1, N, 2 * N - 1, 2 * N, 2 * N + 1, 4 * N + 1)
     params = SampleParameters(N=N, seed=seed, p=p)
-    records = batch_records(sample_members(params, range(T)), combos, probes)
+    records = _batch_records(sample_members(params, range(T)), combos, probes)
     assert len(records) == T
     empty = (0,) * (1 + len(combos)) + ((1 << len(probes)) - 1,)
     for t, record in enumerate(records):
@@ -570,7 +574,7 @@ def _probes(N, combo):
     ],
 )
 def test_trial_record_matches_per_combo_kernels(combos, branch, monkeypatch):
-    # One trial_record call gives the records of gen_sumset run combo by
+    # One _trial_record call gives the records of gen_sumset run combo by
     # combo, through the same forced branch (None: the documented rule), and
     # of the enumeration oracle where |A|^h is affordable.  One buffer set
     # serves every set in turn, a dense one before sparse and empty ones, so
@@ -589,7 +593,7 @@ def test_trial_record_matches_per_combo_kernels(combos, branch, monkeypatch):
         with monkeypatch.context() as patch:
             if branch is not None:
                 patch.setattr(sumset, "kernel_branch", lambda N, h, size: branch)
-            record = trial_record(A, combos, probes, buffers)
+            record = _trial_record(A, combos, probes, buffers)
             assert record == _per_set_record(A, combos, probes, gen_sumset)
         if A.size**max(combo.h for combo in combos) <= 10**6:
             assert record == _per_set_record(A, combos, probes, gen_sumset_naive)
@@ -604,7 +608,7 @@ def test_trial_record_folds_each_shared_prefix_once(monkeypatch):
     A = _set([0, N, *range(1, 3000, 7)], N)
     combos = _combos((2, 2), (3, 1), (4, 0))
     folds = _spy_folds(monkeypatch)
-    record = trial_record(A, combos)
+    record = _trial_record(A, combos, (), FoldBuffers())
     monkeypatch.undo()
     assert [sumset.kernel_branch(N, 4, A.size)] == ["bytes"]
     assert len(folds) == 6
@@ -622,6 +626,6 @@ def test_trial_record_allocates_no_output_vector_after_its_first_call():
     assert {sumset.kernel_branch(N, 3, A.size) for A in (first, second)} == {"bytes"}
     vector = (3 * N + 8) // 8
     buffers = FoldBuffers()
-    trial_record(first, combos, (), buffers)
-    assert peak_traced_bytes(lambda: trial_record(second, combos, (), buffers)) < vector
-    assert peak_traced_bytes(lambda: trial_record(second, combos, (), FoldBuffers())) > vector
+    _trial_record(first, combos, (), buffers)
+    assert peak_traced_bytes(lambda: _trial_record(second, combos, (), buffers)) < vector
+    assert peak_traced_bytes(lambda: _trial_record(second, combos, (), FoldBuffers())) > vector
