@@ -15,7 +15,10 @@ base runs first in even pairs and the change in odd ones, so a drift of the
 machine's speed during a pair does not always favour one side.  Only pairs
 measured in the same session can be compared, which is why every change
 writes its own file.  Tier-1 runs on both sides in 3 pairs, alternating
-the same way.
+the same way, and so does the battery: each `scripts/configs` config is
+one `scripts/run_regimes.py --check --workers 1 --only STEM` run, timed
+from its start to its exit, which also says whether its report is
+byte-identical to that side's `results/`.
 
 The file holds the machine (nproc, CPU model, Python and numpy versions),
 per workload each side's failed and attempted operations and each run's
@@ -24,7 +27,9 @@ quartiles (`statistics.quantiles`' default exclusive method, as
 `perfbench/spread.py` uses) and the change's wins out of the pairs, and
 per side each tier-1 run's wall time and passed and failed counts, and the
 median of each test's duration over its runs (`pytest --durations=0`, which
-hides those under 5 ms, read as 0).  Only the standard library is used.
+hides those under 5 ms, read as 0), and per side and config each battery
+run's wall time and byte-identity and the median wall time.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -131,6 +136,31 @@ def tier1_pairs(sides: dict[str, Path]) -> dict:
     return out
 
 
+def battery_pairs(sides: dict[str, Path]) -> dict:
+    """Per config, each side's battery runs at --workers 1, TIER1_PAIRS of them
+    alternating with the other side's."""
+    env = dict(os.environ, PYTHONPATH="src")
+    stems = sorted(path.stem for path in (sides["change"] / "scripts" / "configs").glob("*.json"))
+    out: dict[str, dict] = {}
+    for stem in stems:
+        runs: dict[str, list[dict]] = {"base": [], "change": []}
+        for i in range(TIER1_PAIRS):
+            for side in alternate(i):
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, "scripts/run_regimes.py", "--check",
+                                       "--workers", "1", "--only", stem], cwd=sides[side],
+                                      env=env, capture_output=True, text=True)
+                wall = time.perf_counter() - start
+                if proc.returncode not in (0, 1):  # 1: the report differs from results/
+                    sys.exit(f"battery {stem} pair {i + 1} {side}: run_regimes.py exited "
+                             f"{proc.returncode}\n{proc.stderr}")
+                runs[side].append({"wall_s": round(wall, 3), "identical": proc.returncode == 0})
+                print(f"battery {stem} pair {i + 1} {side}: {runs[side][-1]}", file=sys.stderr)
+        out[stem] = {side: {"median_wall_s": statistics.median(r["wall_s"] for r in side_runs),
+                            "runs": side_runs} for side, side_runs in runs.items()}
+    return out
+
+
 def machine() -> dict:
     cpu = platform.processor()
     try:
@@ -161,7 +191,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def compare(args: argparse.Namespace, sides: dict[str, Path]) -> dict:
-    """The file's contents: the pairs of every workload, then tier-1's pairs."""
+    """The file's contents: the pairs of every workload, then tier-1's and the
+    battery's pairs."""
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
@@ -192,7 +223,7 @@ def compare(args: argparse.Namespace, sides: dict[str, Path]) -> dict:
     return {"pr": args.pr, "base": args.base, "change": args.change,
             "command": spec["command"] + ["--seconds", str(seconds)],
             "machine": machine(), "workloads": workloads,
-            "tier1": tier1_pairs(sides)}
+            "tier1": tier1_pairs(sides), "battery": battery_pairs(sides)}
 
 
 if __name__ == "__main__":

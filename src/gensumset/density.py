@@ -6,7 +6,9 @@ overlap moments b_{h,k} of that density and the critical-decay constant
 g(c; s, d), the sum of a series in them, are integrals over one table of
 integer polynomial pieces, each computed past double precision and rounded
 once.  Also here: the exact missing-value laws for two-summand slow decay,
-sums of math.pow terms streamed into one fsum in chunks, largest first.
+sums of math.pow terms, largest first, added exactly in chunks and rounded
+once; each law stops as soon as a bound on the terms it has not yet added
+proves that they cannot change the rounded sum.
 
 Everything is a pure function; the constant tables are cached and safe for
 concurrent reads.
@@ -21,7 +23,7 @@ from decimal import Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -35,7 +37,9 @@ SUM_DOMINATED_LIMIT_FRACTION = 4.5e-4
 COMPLEMENT_RATIO_LIMIT_H2 = 2.0
 
 _G_DIGITS = 34  # working digits of g_series
-_CHUNK = 1 << 14  # terms per chunk streamed into the slow-h2 laws' fsum
+_CHUNK = 1 << 14  # terms per chunk of the slow-h2 laws, each summed exactly at once
+_UNIT = 2**1126  # every finite double is a whole number of 2**-1126 (see _exact_sum)
+_SLACK = 1.0 + 2.0**-20  # raises each slow-h2 tail bound past its rounding errors
 
 
 def missing_sums_asymptote_h2(p: float) -> float:
@@ -323,6 +327,54 @@ def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
                        dtype=float, count=exponents.size)
 
 
+def _units(x: float) -> int:
+    """A finite double x >= 0 in units of 2**-1126, exactly."""
+    numerator, denominator = x.as_integer_ratio()  # denominator divides 2**1074
+    return numerator * (_UNIT // denominator)
+
+
+def _exact_sum(terms: np.ndarray) -> int:
+    """The sum of fewer than 2**26 finite doubles >= 0, in units of 2**-1126, exactly.
+
+    np.frexp writes each term as m * 2**e with m in [1/2, 1) and e >= -1073,
+    so the term is the 53-bit integer m * 2**53 times 2**(e + 1073) units.
+    That integer's high 27 and low 26 bits are summed per exponent by
+    np.bincount: every float64 partial sum is an integer below 2**27 times
+    the term count, so below 2**53 and exact.  terms is overwritten.
+    """
+    e = np.empty(terms.shape, np.intp)
+    m, _ = np.frexp(terms, out=(terms, e))
+    e += 1073
+    m *= 2.0**27
+    high = np.floor(m)
+    highs = np.bincount(e, high)
+    m -= high
+    m *= 2.0**26
+    lows = np.bincount(e, m)
+    # A nonzero term has a high half of at least 2**26, so the bins with a
+    # zero high sum hold zero terms only.
+    shifts = np.flatnonzero(highs)
+    return sum(((int(hi) << 26) + int(lo)) << s for s, hi, lo in
+               zip(shifts.tolist(), highs[shifts].tolist(), lows[shifts].tolist()))
+
+
+def _settled(total: int, bound: float) -> bool:
+    """Whether total + t rounds to the double of total for every t in [0, bound].
+
+    total is in units of 2**-1126, and int / int is correctly rounded, half
+    to even, as fsum is.  Rounding is monotone, so total + bound rounding
+    the same as total settles every tail between.  An infinite bound never
+    settles.
+    """
+    return bound < math.inf and total / _UNIT == (total + _units(bound)) / _UNIT
+
+
+def _geometric(count: int, gap: float) -> float:
+    """A bound on the sum of r**k for 0 <= k < count, for any r in [0, 1 - gap]:
+    the smaller of count and 1/gap (either one is a bound)."""
+    return float(count) if gap * count <= 1.0 else 1.0 / gap
+
+
 def expected_missing_sums_h2(N: int, p: float) -> float:
     """Expected count of values in [0, 2N] missing from A+A; exact.
 
@@ -331,9 +383,19 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
     than 2N * 1e-30).  Tends to 4/p^2 as p -> 0 with N p^2 -> infinity.
     Powers come from math.pow, term by term, and the rest is correctly
     rounded elementwise arithmetic, so every term has the bits of the
-    per-value loop over missing_sum_probability_h2.  The terms stream into
-    one fsum in chunks of _CHUNK, largest first, which holds no full-length
-    array; fsum rounds once, so the order changes its cost, not its result.
+    per-value loop over missing_sum_probability_h2.
+
+    The terms are summed exactly, in chunks of _CHUNK powers q**j, j
+    rising, and the result is that sum rounded once: the bits of an fsum
+    of the same terms.  After each chunk the sum stops early once no tail
+    the loop could still add can change its rounding (_settled).  The terms
+    left from the next exponent J on are 2 q**j and 2 (q**j (1-p)) for
+    J <= j <= N//2, at most 4 q**j each, and so sum to at most
+    4 q**J min(N//2 + 1 - J, 1/(1 - q)).  The bound is raised by _SLACK,
+    which covers libm pow's error of under 1 ulp on every term and on
+    q**J, and the few roundings of the bound itself (about 10 * 2**-53 in
+    all).  Every stop is exact, and a sum that never settles adds exactly
+    the terms down to the 1e-30 cutoff.
     """
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
@@ -343,26 +405,25 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
         return 1.0 - p
     q = 1.0 - p * p
     half, last_even = N // 2, (N - 1) // 2  # largest m with 2m-1 < N, with 2m < N
+    # The values 0 and N, which the bound below does not cover.
+    total = _units(2.0 * (1.0 - p)) + _units(missing_sum_probability_h2(N, N, p))
+    for lo in range(1, half + 1, _CHUNK):
+        # odd[i] = q**(lo+i) is the missing probability of the odd value
+        # 2(lo+i)-1 < N, and odd[i] * (1-p) that of 2(lo+i) if below N.
+        # Odd values dominate every later term: stop at the first < 1e-30.
+        odd = _powers(q, np.arange(lo, min(lo + _CHUNK, half + 1)))
+        below = np.flatnonzero(odd < 1e-30)
+        stop = below[0] if below.size else odd.size
+        total += 2 * _exact_sum(odd[: min(stop, last_even - lo + 1)] * (1.0 - p))
+        total += 2 * _exact_sum(odd[: stop + 1])
+        if below.size:
+            break
+        J = lo + odd.size
+        if _settled(total, _SLACK * 4.0 * math.pow(q, J) * _geometric(half + 1 - J, 1.0 - q)):
+            break
+    return total / _UNIT
 
-    def chunks():
-        yield [2.0 * (1.0 - p)]  # the value 0
-        for lo in range(1, half + 1, _CHUNK):
-            # odd[i] = q**(lo+i) is the missing probability of the odd value
-            # 2(lo+i)-1 < N, and odd[i] * (1-p) that of 2(lo+i) if below N.
-            # Odd values dominate every later term: stop at the first < 1e-30.
-            odd = _powers(q, np.arange(lo, min(lo + _CHUNK, half + 1)))
-            below = np.flatnonzero(odd < 1e-30)
-            stop = below[0] if below.size else odd.size
-            yield (2.0 * odd[: stop + 1]).tolist()
-            yield (2.0 * (odd[: min(stop, last_even - lo + 1)] * (1.0 - p))).tolist()
-            if below.size:
-                break
-        yield [missing_sum_probability_h2(N, N, p)]
 
-    return math.fsum(chain.from_iterable(chunks()))
-
-
-@lru_cache(maxsize=64)
 def expected_missing_diffs_h2(N: int, p: float) -> float:
     """Expected count of values in [-N, N] missing from A-A; exact.
 
@@ -375,8 +436,27 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
     Every n with the same chain length (N+1)//n shares the recurrence's
     value, so it runs once, up to the longest chain, and the n of one
     length are done together with math.pow and elementwise products: each
-    term has the bits of a per-n loop.  The terms stream into one fsum in
-    chunks of _CHUNK, largest first.
+    term has the bits of a per-n loop.
+
+    The terms are summed exactly in chunks of _CHUNK, from n = N down, and
+    the result is that sum rounded once: the bits of an fsum of the same
+    terms.  After each chunk the sum stops early once no tail the loop
+    could still add can change its rounding (_settled).  With m the next n
+    and r = 1 - p^2, that tail is bounded in two parts:
+    - chain length 1, n > (N+1)/2: the terms are 2 cur**j with cur the
+      computed r, and j = N+1-n rising from J = N+1-m, so they sum to at
+      most 2 cur**J min(count, 1/(1 - cur));
+    - every kept n <= min(m, (N+1)/2), at most 2 r**((N+1-n)/2) each (the
+      disjoint-pair bound below), a geometric run of ratio sqrt(r) <=
+      1 - p^2/2.
+    The bound is raised by _SLACK.  It covers libm pow's error of under
+    1 ulp, and the computed bases' error: each step of the recurrence adds
+    at most 4 roundings of 2**-53 to its values, so a term's powers of them
+    carry at most 4(N+1), and r**x with x <= (N+1)/2 taken from the
+    computed r at most 3x more.  With the bound's own roundings that is
+    under 5.5(N+1) + 20 roundings, less than 2**-20 for N < 2**30; above
+    that the stop is not used.  So every stop is exact, and a sum that
+    never settles adds exactly the kept terms.
     """
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
@@ -393,27 +473,39 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
         return not (N + 1 - n) * pair_free / 2.0 < -70.0
 
     first = 1 + bisect_left(range(1, N + 1), True, key=kept)
+    r, mid = q + pq, (N + 1) // 2  # r is cur at chain length 1, the length of every n > mid
+    single = max(first, mid + 1)  # the smallest kept n of chain length 1
 
-    def chunks():
-        prev, cur = 1.0, 1.0  # no-pair probabilities for chain lengths 0 and 1
-        steps, hi = 0, N
-        while hi >= first:  # from n = N down, largest first
-            length = (N + 1) // hi
-            lo = max(first, (N + 1) // (length + 1) + 1)
+    def rest(m):  # a bound on every kept term at n <= m
+        bound = 0.0
+        if m >= single:  # 2 r**(N+1-n) for n in [single, m]
+            bound = 2.0 * math.pow(r, N + 1 - m) * _geometric(m + 1 - single, 1.0 - r)
+        top = min(m, mid)
+        if top >= first:
+            if N >= 2**30:
+                return math.inf
+            bound += 2.0 * math.pow(r, (N + 1 - top) / 2) * _geometric(top + 1 - first,
+                                                                       0.5 * p * p)
+        return _SLACK * bound
+
+    total = _units(q ** (N + 1))  # 0 is missing iff A is empty
+    prev, cur, steps = 1.0, 1.0, 0  # no-pair probabilities for chain lengths 0 and 1
+    for top in range(N, first - 1, -_CHUNK):  # from n = N down, largest first
+        n = np.arange(top, max(first, top - _CHUNK + 1) - 1, -1)
+        missing = np.empty(n.size)
+        cuts = [0, *(np.flatnonzero(np.diff((N + 1) // n)) + 1).tolist(), n.size]
+        for a, b in zip(cuts, cuts[1:]):  # the n of one chain length
+            length = (N + 1) // int(n[a])
             for _ in range(length - steps):
                 prev, cur = cur, q * cur + pq * prev
             steps = length
-            for top in range(hi, lo - 1, -_CHUNK):
-                n = np.arange(top, max(lo, top - _CHUNK + 1) - 1, -1)
-                # N+1 - length*n chains have length + 1 elements and the
-                # other (length+1)*n - (N+1) have length.
-                longer = N + 1 - length * n
-                missing = _powers(cur, longer)
-                if length > 1:  # else prev is 1.0, and 1.0 ** k is exactly 1.0
-                    missing *= _powers(prev, n - longer)
-                missing *= 2.0
-                yield missing.tolist()
-            hi = lo - 1
-        yield [q ** (N + 1)]  # 0 is missing iff A is empty
-
-    return math.fsum(chain.from_iterable(chunks()))
+            # N+1 - length*n chains have length + 1 elements and the
+            # other (length+1)*n - (N+1) have length.
+            longer = N + 1 - length * n[a:b]
+            missing[a:b] = _powers(cur, longer)
+            if length > 1:  # else prev is 1.0, and 1.0 ** k is exactly 1.0
+                missing[a:b] *= _powers(prev, n[a:b] - longer)
+        total += 2 * _exact_sum(missing)
+        if _settled(total, rest(top - n.size)):
+            break
+    return total / _UNIT

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -374,8 +375,9 @@ def test_missing_sum_law_hypothesis(N, p):
 
 
 # The per-value loops the two exact laws were first written as.  The laws now
-# share chain recurrences, take each power from math.pow and stream their
-# terms in chunks into one fsum, largest first, and must keep every bit.
+# share chain recurrences, take each power from math.pow, sum their terms
+# exactly in chunks and stop once the rest cannot change the rounded sum,
+# and must keep every bit.
 
 
 def _expected_missing_sums_loop(N, p):
@@ -415,6 +417,9 @@ def _expected_missing_diffs_loop(N, p):
         (2 * 10**5, (2 * 10**5) ** -0.3),
         (10**6, (10**6) ** -0.3),
         (3 * 10**6, (3 * 10**6) ** -0.3),
+        # the differences law settles after 6 chunks, inside the 250k n of
+        # chain length 1
+        (499_999, 499_999**-0.3),
         # sums run to the midpoint untruncated across several chunks, at both
         # parities of N; every n kept, and chain length 3 alone spans 16.7k n
         (10**5, 0.001),
@@ -439,12 +444,67 @@ def test_missing_laws_equal_the_loops_small_n(N, p):
     assert expected_missing_diffs_h2(N, p) == _expected_missing_diffs_loop(N, p)
 
 
+def test_missing_laws_stop_once_settled(monkeypatch):
+    # At slow_h2's N and p the laws stop long before their cutoffs: they
+    # evaluated 892,928 powers when they ran to them.
+    counted = []
+    powers = density._powers
+    monkeypatch.setattr(density, "_powers",
+                        lambda base, k: counted.append(k.size) or powers(base, k))
+    N = 10**6
+    p = N**-0.3
+    expected_missing_sums_h2(N, p)
+    expected_missing_diffs_h2(N, p)
+    assert sum(counted) <= 400_000
+
+
+# Non-negative finite doubles: zeros, subnormals, the largest binades, and
+# long runs inside one binade whose mantissas fill every bit, so that the
+# per-exponent half sums reach their largest.
+_doubles = st.one_of(
+    st.floats(0.0, 2.0**1000),
+    st.floats(0.0, 2.0**-1000),
+    st.sampled_from([0.0, 5e-324, math.ldexp(1.0 - 2.0**-52, -1022), 2.0**-1022]),
+)
+_runs = st.builds(lambda x, k: [x] * k, st.one_of(_doubles, st.sampled_from(
+    [math.ldexp(2.0 - 2.0**-52, e) for e in (-1022, -1, 0, 52, 999)])),
+    st.integers(1, 1 << 14))
+
+
+@given(st.lists(st.one_of(_doubles.map(lambda x: [x]), _runs), max_size=12),
+       st.sampled_from([[], [2.0**1023], [math.ldexp(2.0 - 2.0**-52, 1022)]]))
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_rounds_as_fsum(pieces, huge):
+    terms = [x for piece in pieces for x in piece] + huge
+    assert density._exact_sum(np.array(terms, dtype=float)) / 2**1126 == math.fsum(terms)
+
+
+@given(st.floats(2.0**-1022, 2.0**1000), st.floats(5e-324, 2.0**1000))
+@settings(max_examples=200, deadline=None)
+def test_a_total_on_a_midpoint_that_rounds_down_never_settles(x, tail):
+    if int.from_bytes(np.float64(x).tobytes(), "little") & 1:
+        x = math.nextafter(x, 0.0)  # an even mantissa, so x + ulp/2 rounds to x
+    midpoint = density._units(x) + density._units(math.ulp(x)) // 2
+    assert midpoint / 2**1126 == x
+    assert not density._settled(midpoint, tail)
+    assert density._settled(midpoint, 0.0)
+
+
+@given(st.floats(2.0**-1022, 2.0**1000))
+@settings(max_examples=200, deadline=None)
+def test_a_total_far_from_a_midpoint_settles(x):
+    total = density._units(x)
+    assert density._settled(total, math.ulp(x) / 4)
+    assert density._settled(total, math.nextafter(math.ulp(x) / 2, 0.0))
+    assert not density._settled(total, math.ulp(x))
+    assert not density._settled(total, math.inf)
+
+
 def test_missing_laws_stream_their_terms():
     # At slow_h2's N and p, each law holds no full-length array: its traced
     # peak stays below 2 MB, where the 557k terms alone take 4.5 MB.
     N = 10**6
     p = N**-0.3
-    expected_missing_diffs_h2.cache_clear()
     for law in (expected_missing_sums_h2, expected_missing_diffs_h2):
         peak = peak_traced_bytes(lambda: law(N, p))
         assert peak < 2 * 2**20, (law.__name__, peak)
