@@ -18,18 +18,20 @@ writes its own file.  Tier-1 runs on both sides in 3 pairs, alternating
 the same way, and so does the battery: each `scripts/configs` config is
 one `scripts/run_regimes.py --check --workers 1 --only STEM` run, timed
 from its start to its exit, which also says whether its report is
-byte-identical to that side's `results/`.
+byte-identical to that side's `results/`.  Each config also runs once a
+side at `--workers 2`, recorded the same way.
 
 The file holds the machine (nproc, CPU model, Python and numpy versions),
 per workload each side's failed and attempted operations and each run's
 `correct` flag, per end-to-end metric each side's runs, median and
 quartiles (`statistics.quantiles`' default exclusive method, as
 `perfbench/spread.py` uses) and the change's wins out of the pairs, and
-per side each tier-1 run's wall time and passed and failed counts, and the
-median of each test's duration over its runs (`pytest --durations=0`, which
-hides those under 5 ms, read as 0), and per side and config each battery
-run's wall time and byte-identity and the median wall time.  Only the
-standard library is used.
+per side each tier-1 run's wall time, passed and failed counts and failed
+tests, and the median of each test's duration over its runs (`pytest
+--durations=0`, which hides those under 5 ms, read as 0), and per side and
+config each battery run's wall time and byte-identity and the median wall
+time, and its `--workers 2` run under `workers_2`.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -98,8 +100,8 @@ def alternate(i: int) -> tuple[str, str]:
 
 
 def tier1(side: Path) -> dict:
-    """One run: wall time, passed and failed counts, summary line and per-test
-    durations (all phases summed)."""
+    """One run: wall time, passed and failed counts, the failed tests' ids,
+    summary line and per-test durations (all phases summed)."""
     env = dict(os.environ, PYTHONPATH="src")
     start = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=side, env=env, capture_output=True, text=True)
@@ -111,9 +113,11 @@ def tier1(side: Path) -> dict:
             durations[test] = round(durations.get(test, 0.0) + float(match[1]), 3)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {kind: int(n) for n, kind in COUNT.findall(summary)}
+    failures = [line.split()[1] for line in proc.stdout.splitlines()
+                if line.startswith("FAILED ")]
     return {"wall_s": round(wall, 2), "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0), "summary": summary.strip("= "),
-            "durations_s": durations}
+            "failed": counts.get("failed", 0), "failures": failures,
+            "summary": summary.strip("= "), "durations_s": durations}
 
 
 def tier1_pairs(sides: dict[str, Path]) -> dict:
@@ -136,28 +140,41 @@ def tier1_pairs(sides: dict[str, Path]) -> dict:
     return out
 
 
+def battery_run(side: Path, stem: str, workers: int, where: str) -> dict:
+    """One `run_regimes.py --check` run of one config: wall time and byte-identity."""
+    env = dict(os.environ, PYTHONPATH="src")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "scripts/run_regimes.py", "--check",
+                           "--workers", str(workers), "--only", stem], cwd=side,
+                          env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode not in (0, 1):  # 1: the report differs from results/
+        sys.exit(f"{where}: run_regimes.py exited {proc.returncode}\n{proc.stderr}")
+    run = {"wall_s": round(wall, 3), "identical": proc.returncode == 0}
+    print(f"{where}: {run}", file=sys.stderr)
+    return run
+
+
 def battery_pairs(sides: dict[str, Path]) -> dict:
     """Per config, each side's battery runs at --workers 1, TIER1_PAIRS of them
-    alternating with the other side's."""
-    env = dict(os.environ, PYTHONPATH="src")
+    alternating with the other side's, then one run a side at --workers 2.
+
+    On a 2-core machine --workers 1 draws each large trial on both cores,
+    and --workers 2 runs two processes of one thread each, so the two
+    settings check the multi-threaded and the one-thread sampling paths."""
     stems = sorted(path.stem for path in (sides["change"] / "scripts" / "configs").glob("*.json"))
     out: dict[str, dict] = {}
     for stem in stems:
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         for i in range(TIER1_PAIRS):
             for side in alternate(i):
-                start = time.perf_counter()
-                proc = subprocess.run([sys.executable, "scripts/run_regimes.py", "--check",
-                                       "--workers", "1", "--only", stem], cwd=sides[side],
-                                      env=env, capture_output=True, text=True)
-                wall = time.perf_counter() - start
-                if proc.returncode not in (0, 1):  # 1: the report differs from results/
-                    sys.exit(f"battery {stem} pair {i + 1} {side}: run_regimes.py exited "
-                             f"{proc.returncode}\n{proc.stderr}")
-                runs[side].append({"wall_s": round(wall, 3), "identical": proc.returncode == 0})
-                print(f"battery {stem} pair {i + 1} {side}: {runs[side][-1]}", file=sys.stderr)
+                runs[side].append(battery_run(sides[side], stem, 1,
+                                              f"battery {stem} pair {i + 1} {side}"))
         out[stem] = {side: {"median_wall_s": statistics.median(r["wall_s"] for r in side_runs),
                             "runs": side_runs} for side, side_runs in runs.items()}
+        for side in alternate(0):
+            out[stem][side]["workers_2"] = battery_run(sides[side], stem, 2,
+                                                       f"battery {stem} workers 2 {side}")
     return out
 
 

@@ -266,9 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel trial worker processes (at least 1); each draws a "
-                        "large trial on cores // processes threads; output is identical "
-                        "for any value")
+                   help="parallel trial worker processes (at least 1); each draws its "
+                        "large trials on cores // processes threads, the next trial's "
+                        "while this one folds (one thread, so no overlap, from --workers "
+                        "= cores up); output is identical for any value")
     p.add_argument("--json-out", help="write the JSON report here")
     p.add_argument("--csv-out", help="write the per-N aggregate CSV here")
     p.set_defaults(func=_cmd_experiment)

@@ -7,9 +7,10 @@ one integer record, (|A|, |A_combo| per combo, bitmask of probe values
 missing from the first sumset).  This module only asks for the records of
 each N, by one sumset.records call, which samples the trials and chooses
 every kernel.  In one process that call covers all of an N's trials; a
-pool maps chunks of them over its workers, in order.  Each process draws a
-large trial's stream on cores // processes threads; the set is the same on
-any number of threads.  Each kind turns one N's records into rows, checks
+pool maps chunks of them over its workers, in order.  Each process draws its
+large trials' streams on cores // processes threads, whose helpers draw the
+next trial while this one folds; the sets are the same on any number of
+threads.  Each kind turns one N's records into rows, checks
 and extras.  Records are per trial, so neither the chunking nor the worker
 count can change a report.  mstd folds exact integer moments as records
 arrive; every other statistic is summarized by compensated two-pass

@@ -18,21 +18,33 @@ to doubles makes a draw at N = 10^6 about 1.2x as fast.
 The stream is counter-based: Philox turns counter block m into words
 4m .. 4m+3, so word 4m onward is Philox(key=(seed, t)) advanced by m
 blocks.  SAMPLE_CHUNK is a multiple of 4, so every chunk starts on a whole
-block, and `sample_set(params, threads=k)` draws one trial's chunks on k
-threads (numpy's random_raw and the comparison release the GIL).  Each
-thread keeps its own Philox of the same key and advances it to the chunk it
-claims.  The threads claim chunks from one shared iterator in increasing
-order rather than a fixed share each, so a thread on a busy core takes
-fewer chunks instead of holding up the trial (a fixed half each made one
-trial wait for the slower core).  Each thread holds one chunk of words,
-512 KB, at a time.  The chunks' elements are joined in chunk order: the
-set is the one a single thread draws.
+block, and a trial's chunks can be drawn on k threads (numpy's random_raw
+and the comparison release the GIL).  Each thread keeps its own Philox of
+the trial's key and advances it to the chunk it claims.  The threads claim
+chunks from one shared iterator in increasing order rather than a fixed
+share each, so a thread on a busy core takes fewer chunks instead of
+holding up the trial (a fixed half each made one trial wait for the slower
+core).  Each thread holds one chunk of words, 512 KB, at a time.  The
+chunks' elements are joined in chunk order: the set is the one a single
+thread draws.
+
+`sample_sets(params, trials, threads=k)` yields the sets of a range of
+trials in order and starts its (up to k - 1) helper threads once.  Each
+trial is one chunk-claiming draw.  The helpers claim chunks of the newest
+trial that the caller has opened, and the caller opens trial t + 1 as it
+hands out trial t's set, so the helpers draw t + 1 while the caller works
+on t (in sumset.records, its folds, which run on one core) and never draw
+further ahead.  When the caller asks for t + 1 it claims what is left and
+waits only for the chunks in flight.  `sample_set(params, threads=k)` is
+the one-trial case.  With k = 1 no helper starts and the caller draws every
+chunk when it asks for the set.
 
 `sample_members` builds the membership rows of a batch of trials for the
 batched small-N path: it re-keys one Philox to (seed, t) through its state
 setter instead of constructing a generator per trial (a tenth of the cost),
-so each row is exactly the set `sample_set` gives for that trial.  It still
-compares doubles: at N = 100 raw rows measured no faster.
+so each row is exactly the set `sample_set` gives for that trial.  The
+state is a dict of plain ints, which the setter reads faster than uint64
+arrays.  It still compares doubles: at N = 100 raw rows measured no faster.
 """
 
 from __future__ import annotations
@@ -186,60 +198,148 @@ def substream(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_set(params: SampleParameters, threads: int = 1) -> SampledSet:
-    """Draw one subset: each of 0..N kept independently with probability p.
+class _Stream:
+    """One thread's Philox, placed in the stream of the trial it last drew from."""
 
-    The N+1 raw words are drawn in chunks of SAMPLE_CHUNK and compared with
-    K << 11 (see the module docstring), so the set is the one that
-    random(N+1) < p gives.  The calling thread and up to threads - 1 helper
-    threads claim the chunks in increasing order, each advancing its own
-    Philox of key (seed, trial_index) to the block its chunk starts on, so
-    at most one chunk of words per thread is alive.  An exception raised in
-    any thread is raised here, and every helper has ended when this returns.
+    def __init__(self, seed: int):
+        self._seed = seed
+        self._t = None
+
+    def words(self, t: int, lo: int, count: int) -> np.ndarray:
+        """Raw words lo .. lo + count - 1 of trial t; lo ascends within a trial."""
+        if t != self._t:
+            self._t, self._bitgen, self._at = t, substream(self._seed, t).bit_generator, 0
+        if lo > self._at:
+            self._bitgen.advance((lo - self._at) // 4)
+        self._at = lo + count
+        return self._bitgen.random_raw(count)
+
+
+class _Draw:
+    """One trial's draw: chunks any thread may claim, filed in chunk order.
+
+    The chunk starts are claimed from one iterator in increasing order
+    (under the GIL, so each goes to one thread).  left counts the chunks
+    not yet filed in parts; it is changed under the call's condition.
     """
-    size = params.N + 1
+
+    def __init__(self, t: int, size: int):
+        self.t = t
+        self.claims = iter(range(0, size, SAMPLE_CHUNK))
+        self.parts = [None] * -(-size // SAMPLE_CHUNK)
+        self.left = len(self.parts)
+
+
+def sample_sets(params: SampleParameters, trials: range, threads: int = 1):
+    """Yield the set of each trial in trials, in order, as sample_set gives it.
+
+    params.trial_index is ignored.  Each trial's N+1 raw words are drawn in
+    chunks of SAMPLE_CHUNK and compared with K << 11 (see the module
+    docstring), so the set is the one that random(N+1) < p gives.  The
+    calling thread and min(threads, chunks of a trial) - 1 helper threads,
+    started once per call, claim the chunks of a trial, each advancing its
+    own Philox of key (seed, t) to the block its chunk starts on, so at most
+    one chunk of words per thread is alive.  The next trial's chunks are
+    open to the helpers from the moment this trial's set is yielded, and no
+    later trial's: while the caller works on trial t's set, the helpers
+    draw trial t + 1, and when it asks for that set it claims what is left
+    and waits only for the chunks in flight.  An exception raised in any
+    thread is raised here, and every helper has ended once the generator is
+    exhausted or closed.
+    """
+    if not trials:
+        return
+    N, size = params.N, params.N + 1
     threshold = math.ceil(effective_p(params) * 2**53) << 11
     if threshold > _MASK64:  # p = 1
-        return SampledSet(N=params.N, elements=np.arange(size, dtype=np.int64))
+        for _ in trials:
+            yield SampledSet(N=N, elements=np.arange(size, dtype=np.int64))
+        return
     threshold = np.uint64(threshold)
-    starts = range(0, size, SAMPLE_CHUNK)
-    chunks = iter(starts)  # claimed under the GIL, so each start goes to one thread
-    parts = [None] * len(starts)
-
-    def draw() -> None:
-        bitgen = substream(params.seed, params.trial_index).bit_generator
-        at = 0  # words of this thread's stream drawn or skipped so far
-        for lo in chunks:
-            if lo > at:
-                bitgen.advance((lo - at) // 4)
-            at = min(lo + SAMPLE_CHUNK, size)
-            # One expression, so the chunk's words are freed before the next.
-            parts[lo // SAMPLE_CHUNK] = (
-                np.flatnonzero(bitgen.random_raw(at - lo) < threshold) + lo)
-
+    done = threading.Condition()
     errors = []
+    ahead = None  # the newest trial's draw: the only one a helper claims from
+    closed = False
+
+    def draw(trial: _Draw, stream: _Stream) -> None:
+        """Claim and file chunks of trial until none is left to claim."""
+        for lo in trial.claims:
+            # One expression, so the chunk's words are freed before the next.
+            trial.parts[lo // SAMPLE_CHUNK] = np.flatnonzero(
+                stream.words(trial.t, lo, min(SAMPLE_CHUNK, size - lo)) < threshold) + lo
+            with done:
+                trial.left -= 1
+                if not trial.left:
+                    done.notify_all()
 
     def help_draw() -> None:
+        stream, drawn = _Stream(params.seed), None
         try:
-            draw()
+            while True:
+                with done:
+                    while ahead is drawn and not closed:
+                        done.wait()
+                    if closed:
+                        return
+                    drawn = ahead
+                draw(drawn, stream)
         except BaseException as exc:  # raised again by the caller, never lost
-            errors.append(exc)
-            deque(chunks, maxlen=0)  # leave the other threads nothing to claim
+            with done:
+                errors.append(exc)
+                done.notify_all()
+
+    def publish(t: int) -> _Draw:
+        nonlocal ahead
+        with done:
+            ahead = _Draw(t, size)
+            done.notify_all()
+        return ahead
+
+    stream = _Stream(params.seed)
+
+    def finish(trial: _Draw) -> SampledSet:
+        """Claim what is left of trial, wait for its chunks in flight, join them."""
+        draw(trial, stream)
+        with done:
+            while trial.left and not errors:
+                done.wait()
+        if errors:
+            raise errors[0]
+        return SampledSet(N=N, elements=np.concatenate(trial.parts).astype(np.int64))
 
     helpers = []
     try:
-        for _ in range(min(threads, len(starts)) - 1):
+        for _ in range(min(threads, -(-size // SAMPLE_CHUNK)) - 1):
             helper = threading.Thread(target=help_draw)
             helper.start()
             helpers.append(helper)
-        draw()
+        trial = publish(trials[0])
+        for t in trials[1:]:
+            A = finish(trial)
+            trial = publish(t)
+            yield A
+        yield finish(trial)
     finally:
-        deque(chunks, maxlen=0)
+        with done:
+            closed = True
+            done.notify_all()
+        if ahead is not None:
+            deque(ahead.claims, maxlen=0)  # leave the helpers nothing more to claim
         for helper in helpers:
             helper.join()
     if errors:
         raise errors[0]
-    return SampledSet(N=params.N, elements=np.concatenate(parts).astype(np.int64))
+
+
+def sample_set(params: SampleParameters, threads: int = 1) -> SampledSet:
+    """Draw one subset: each of 0..N kept independently with probability p.
+
+    The one-trial case of sample_sets: trial params.trial_index drawn on up
+    to threads threads, with the same set on any number of them.
+    """
+    t = params.trial_index
+    [A] = sample_sets(params, range(t, t + 1), threads)
+    return A
 
 
 def sample_members(params: SampleParameters, trials: range) -> np.ndarray:
@@ -247,17 +347,21 @@ def sample_members(params: SampleParameters, trials: range) -> np.ndarray:
 
     Row i is the indicator over 0..N of the set that sample_set gives for
     trial trials[i] (params.trial_index is ignored).  One Philox is re-keyed
-    to (seed, t) for each trial through its state setter, which puts it in
-    the state Philox(key=(seed, t)) starts in, and draws the trial's N+1
-    uniforms in one call (the same stream that sample_set draws in chunks).
-    They are compared against p a few rows at a time, so at most
-    MEMBER_CHUNK doubles, or one row, are alive.
+    to (seed, t) for each trial through its state setter, from a dict of
+    plain ints that puts it in the state Philox(key=(seed, t)) starts in,
+    and draws the trial's N+1 uniforms in one call (the same stream that
+    sample_set draws in chunks).  They are compared against p a few rows at
+    a time, so at most MEMBER_CHUNK doubles, or one row, are alive.
     """
     p = effective_p(params)
     size = params.N + 1
-    bitgen = np.random.Philox(key=np.array([params.seed & _MASK64, 0], dtype=np.uint64))
-    state = bitgen.state
-    key = state["state"]["key"]
+    key = [params.seed & _MASK64, 0]
+    # The state Philox(key=key) starts in.  The setter reads each entry by
+    # index, and plain ints convert faster than uint64 array entries: about
+    # 1.4 us a trial, against 3.0 us.
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     members = np.empty((len(trials), size), dtype=bool)
     draws = np.empty((max(1, min(len(trials), MEMBER_CHUNK // size)), size))

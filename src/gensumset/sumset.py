@@ -25,7 +25,11 @@ all three give the same sumset.
   most min(|A|^j, jN + 1) of its jN + 1 values), narrows them whenever its
   ORs since the last narrowing reach 32 times their size: whole 16 KB
   blocks of ones are cut out, and each part is trimmed to the bytes below
-  0xFF at its ends.  That is exact, since OR never clears a bit.  A
+  0xFF at its ends.  That is exact, since OR never clears a bit.  The
+  ends of a sumset stay sparse, so the gate also asks for an output longer
+  than two blocks, which holds a whole block that touches neither end; a
+  shorter one (N = 2^15, or 10^5 at h = 2) would pay the narrowings and
+  never narrow.  A
   slow-decay sumset misses values only near its ends, so at N = 10^6 and
   p = N^(-3/10) (|A| ~ 15.9k, about 250 covers) a fold ORs 0.17-0.24 GB,
   not 2.0 GB, and takes 35-53 ms, not 117-132 ms, in a fresh process (2
@@ -64,9 +68,15 @@ pipeline's one entry, and every kernel decision is made below it.  It
 samples each trial of a range and yields its integer record (|A|, |A_combo|
 for each combo, missing-probe mask), in trial order.  Up to BIT_SLICE_MAX_N
 it samples and folds the trials in bit-sliced batches (sample_members,
-_batch_records); above it, it draws each set on `threads` threads
-(sample_set) and folds it with _trial_record, whose kernel kernel_branch
-picks.  The records are the same either way.
+_batch_records); above it, it draws the sets on `threads` threads
+(sample_sets) and folds each with _trial_record, whose kernel kernel_branch
+picks.  The records are the same either way.  sample_sets starts its
+helper threads once per call, and they draw trial t + 1 while this thread
+folds trial t: the Philox draws release the GIL and overlap the
+memory-bound ORs.  A critical_h3 trial (N = 10^6, |A| ~ 200) drew for
+about 8 ms on 2 cores, then folded for 10 ms on one; pipelined, its folds
+take 12-13 ms beside the draw and the caller waits about 1 ms a trial for
+the rest of the set (warm process, 2 cores, numpy 2.4.6).
 
 _trial_record(A, combos, probes, buffers) runs the folds of _walk for one
 set, and gen_sumset is its one-combo case.  It builds no GenSumsetResult.
@@ -101,12 +111,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from contextlib import closing
+from dataclasses import dataclass
 
 import numpy as np
 
 from .combinat import DEFAULT_TUPLE_BUDGET, BudgetError, SignedCombination, class_tally
-from .sampling import SampledSet, SampleParameters, sample_members, sample_set, scatter_bits
+from .sampling import SampledSet, SampleParameters, sample_members, sample_sets, scatter_bits
 
 DEFAULT_BIT_BUDGET = 10**9
 BYTE_FOLD_MIN_N = 1 << 15
@@ -414,9 +425,13 @@ def _walk(A: SampledSet, combos, buffers: FoldBuffers):
             else:
                 # |shifts| copies of a j-fold sum that holds at most min(|A|^j, jN + 1)
                 # of its jN + 1 values: the expected covers of an output bit, bounded.
+                # The ends of a sumset stay sparse, so only a whole block that
+                # touches neither end of the output can fill and be cut out; the
+                # first, [_WINDOW_BLOCK, 2 * _WINDOW_BLOCK), needs more than two.
                 values = j * N + 1
-                windowed = len(shifts) * min(size**j, values) >= _WINDOW_MIN_COVERS * values
                 out = buffers.take(j, (j + 1) * (N // 8 + 1))
+                windowed = (out.size > 2 * _WINDOW_BLOCK and len(shifts) * min(size**j, values)
+                            >= _WINDOW_MIN_COVERS * values)
                 sums.append(_shift_or_bytes(sums[-1], shifts, windowed, out, buffers))
         path = signs
         yield i, branch, sums[-1]
@@ -575,9 +590,9 @@ def records(params: SampleParameters, trials: range, combos, probes=(), threads:
     """
     if params.N > BIT_SLICE_MAX_N:
         buffers = FoldBuffers()
-        for t in trials:
-            A = sample_set(replace(params, trial_index=t), threads=threads)
-            yield _trial_record(A, combos, probes, buffers)
+        with closing(sample_sets(params, trials, threads)) as sets:
+            for A in sets:
+                yield _trial_record(A, combos, probes, buffers)
         return
     span = max(combo.h for combo in combos) * params.N + 1
     size = 64 * max(1, _BATCH_BYTES // (64 * span))

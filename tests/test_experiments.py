@@ -14,7 +14,7 @@ from gensumset.experiments import (
     config_to_jsonable,
     run_experiment,
 )
-from gensumset.sampling import SampleParameters
+from gensumset.sampling import SampleParameters, sample_sets
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
@@ -180,7 +180,7 @@ def test_budget_refused_before_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled a set for an over-budget config")
 
-    monkeypatch.setattr(sumset, "sample_set", no_sampling)
+    monkeypatch.setattr(sumset, "sample_sets", no_sampling)
     monkeypatch.setattr(sumset, "sample_members", no_sampling)
     # the budget admits the first N, not the second: nothing may be sampled
     config = _fast_config(Ns=(1000, 600_000), bit_budget=10**6)
@@ -407,12 +407,13 @@ def test_reports_regenerate_with_each_trial_drawn_on_several_threads(stem, cores
     # threads; the sets, and so the checked-in reports, do not change.
     drawn_on = []
 
-    def spy(params, threads):
-        drawn_on.append(threads)
-        return sample_set(params, threads=threads)
+    def spy(params, trials, threads):
+        for A in sample_sets(params, trials, threads):
+            drawn_on.append(threads)
+            yield A
 
     monkeypatch.setattr(experiments, "_cores", lambda: cores)
-    monkeypatch.setattr(sumset, "sample_set", spy)
+    monkeypatch.setattr(sumset, "sample_sets", spy)
     data = json.loads((ROOT / "scripts" / "configs" / f"{stem}.json").read_text())
     report = run_experiment(config_from_jsonable(data), workers=1)
     assert report.to_json() == (ROOT / "results" / f"{stem}.json").read_text()
@@ -443,12 +444,13 @@ def test_threads_follow_the_processes_that_run(trials, workers, threads, monkeyp
     # of min(workers, chunks) processes shares them.
     drawn_on = []
 
-    def spy(params, threads):
-        drawn_on.append(threads)
-        return sample_set(params, threads=threads)
+    def spy(params, trials, threads):
+        for A in sample_sets(params, trials, threads):
+            drawn_on.append(threads)
+            yield A
 
     monkeypatch.setattr(experiments, "_cores", lambda: 2)
-    monkeypatch.setattr(sumset, "sample_set", spy)
+    monkeypatch.setattr(sumset, "sample_sets", spy)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
     combos = (SignedCombination(2, 1), SignedCombination(3, 0))
     config = _fast_config(Ns=(10**6,), trials=trials, combos=combos, delta=Fraction(4, 5))
@@ -503,7 +505,7 @@ def test_batched_and_per_trial_paths_give_the_same_records(monkeypatch):
         raise AssertionError("took the other path")
 
     with monkeypatch.context() as patch:
-        patch.setattr(sumset, "sample_set", other_path)
+        patch.setattr(sumset, "sample_sets", other_path)
         batched = records()
     with monkeypatch.context() as patch:
         patch.setattr(sumset, "BIT_SLICE_MAX_N", N - 1)

@@ -220,8 +220,9 @@ def _slow_substream(monkeypatch, delay=0.0, fail=lambda: False):
 
 def test_small_chunks_interleave_between_threads(monkeypatch):
     # 16-word chunks, 4 Philox blocks each, claimed by up to 5 threads on a
-    # short switch interval: each chunk is drawn exactly once, and the set
-    # is still the one-draw set.
+    # short switch interval, for one trial and for a pipelined run of
+    # three: each chunk is drawn exactly once, and each set is still the
+    # one-draw set.
     monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -230,10 +231,13 @@ def test_small_chunks_interleave_between_threads(monkeypatch):
             drawn_by = _slow_substream(monkeypatch, delay=1e-4)
             for p in (0.5, 0.01):
                 A = sample_set(_params(size - 1, seed=9, trial=4, p=p), threads=threads)
-                one_draw = np.flatnonzero(substream(9, 4).random(size) < p)
-                assert np.array_equal(A.elements, one_draw)
+                sets = sampling.sample_sets(_params(size - 1, seed=9, p=p), range(4, 7),
+                                            threads)
+                for t, B in [(4, A), *zip(range(4, 7), sets)]:
+                    one_draw = np.flatnonzero(substream(9, t).random(size) < p)
+                    assert np.array_equal(B.elements, one_draw), (t, threads)
             assert len(set(drawn_by)) > 1  # chunks were drawn on more than one thread
-            assert len(drawn_by) == 2 * -(-size // 16)
+            assert len(drawn_by) == 2 * 4 * -(-size // 16)
     finally:
         sys.setswitchinterval(interval)
 
@@ -289,3 +293,69 @@ def test_rekeyed_members_equal_sample_set():
             assert np.array_equal(np.flatnonzero(row), A.elements)
             checked += 1
     assert checked == 20000
+
+
+def test_rekeyed_members_equal_sample_set_at_the_key_edges():
+    # The re-keyed state takes keys near 2^64 as the constructor does.
+    for t in (0, 2**63 + 5, 2**64 - 1):
+        for seed, N, p in ((2**64 - 1, 40, 0.5), (7, 300, 0.01)):
+            [row] = sample_members(_params(N, seed=seed, p=p), range(t, t + 1))
+            A = sample_set(_params(N, seed=seed, trial=t, p=p))
+            assert np.array_equal(np.flatnonzero(row), A.elements), (t, seed)
+
+
+@pytest.mark.parametrize("size", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1,
+                                  3 * SAMPLE_CHUNK + 5])
+def test_pipelined_sets_equal_one_draw(size):
+    # Trial after trial, on any number of threads, each set is the one a
+    # single draw of N+1 doubles gives against p; p = 2^-53 gives empty sets.
+    trials = range(5, 9)
+    for p in (1.0, 0.5, 0.01, 2.0**-53):
+        expected = [np.flatnonzero(substream(13, t).random(size) < p) for t in trials]
+        if p == 2.0**-53:
+            assert not any(elements.size for elements in expected)
+        for threads in (1, 2, 3, 5):
+            sets = list(sampling.sample_sets(_params(size - 1, seed=13, p=p), trials, threads))
+            assert [A.N for A in sets] == [size - 1] * len(trials)
+            for A, elements in zip(sets, expected):
+                assert np.array_equal(A.elements, elements), (p, threads)
+
+
+def _note_trials(monkeypatch):
+    """Patch sampling.substream so that each raw draw, slowed, notes its trial."""
+    drawn = []
+
+    class Stream:
+        def __init__(self, seed, t):
+            self.bit_generator = self
+            self._bitgen, self._t = substream(seed, t).bit_generator, t
+
+        def advance(self, blocks):
+            self._bitgen.advance(blocks)
+
+        def random_raw(self, size):
+            drawn.append(self._t)
+            time.sleep(1e-4)
+            return self._bitgen.random_raw(size)
+
+    monkeypatch.setattr(sampling, "substream", Stream)
+    return drawn
+
+
+def test_helpers_draw_at_most_one_trial_ahead(monkeypatch):
+    # While the caller holds trial t's set, the helpers draw trial t + 1's
+    # chunks and none of a later trial.
+    monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 16)
+    drawn = _note_trials(monkeypatch)
+    params = _params(16 * 30 - 1, seed=21, p=0.3)
+    trials = range(40, 46)
+    ahead = 0
+    for A, t in zip(sampling.sample_sets(params, trials, threads=3), trials):
+        assert max(drawn) <= t + 1
+        time.sleep(0.02)  # the caller's folds: the helpers may draw t + 1
+        assert max(drawn) <= t + 1
+        ahead += drawn.count(t + 1)
+        assert A.elements.tolist() == np.flatnonzero(
+            substream(21, t).random(16 * 30) < 0.3).tolist()
+    assert ahead > 0  # some of the next trial was drawn behind the caller's back
+    assert sorted(drawn) == [t for t in trials for _ in range(30)]

@@ -1,4 +1,5 @@
 import io
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -21,8 +22,8 @@ from gensumset import (
     sample_set,
     tuple_statistics,
 )
-from gensumset import sumset
-from gensumset.sampling import sample_members
+from gensumset import sampling, sumset
+from gensumset.sampling import sample_members, substream
 from gensumset.sumset import (
     _POPCOUNT_WORDS,
     BIT_SLICE_MAX_N,
@@ -351,14 +352,21 @@ class _CountingNumpy:
         return np.bitwise_or(*args, out=out)
 
 
-def _spy_folds(monkeypatch):
-    """Patch in counters; each byte fold appends (windowed, bytes ORed, plain bytes)."""
+def _spy_folds(monkeypatch, other_side=False):
+    """Patch in counters; each byte fold appends (windowed, bytes ORed, plain bytes).
+
+    With other_side, each fold is also run on the other side of the window
+    gate, after its bytes are counted, and must give the same output.
+    """
     counter, folds = _CountingNumpy(), []
 
     def spy(acc, shifts, windowed=False, *buffers):
         before = counter.or_bytes
         out = _shift_or_bytes(acc, shifts, windowed, *buffers)
         folds.append((windowed, counter.or_bytes - before, len(shifts) * (acc.size + 1)))
+        if other_side:
+            other = _shift_or_bytes(acc, shifts, not windowed, np.empty_like(out))
+            assert np.array_equal(other, out) and _popcount(other) == _popcount(out)
         return out
 
     monkeypatch.setattr(sumset, "np", counter)
@@ -369,8 +377,11 @@ def _spy_folds(monkeypatch):
 def _documented_gate(N, size, combo):
     # The window gate of the sumset module docstring, written out
     # independently: fold j adds |A| shifted copies to the j-fold partial
-    # sum, and is windowed when |A| * min(1, |A|^j / (jN + 1)) >= 32.
-    return [size * min(1, Fraction(size**j, j * N + 1)) >= 32 for j in range(1, combo.h)]
+    # sum, and is windowed when |A| * min(1, |A|^j / (jN + 1)) >= 32 and its
+    # output of (j + 1)(N // 8 + 1) bytes holds a whole 16 KB block that
+    # touches neither end, which takes more than two blocks.
+    return [size * min(1, Fraction(size**j, j * N + 1)) >= 32
+            and (j + 1) * (N // 8 + 1) > 2 * 2**14 for j in range(1, combo.h)]
 
 
 def _combos(*pairs):
@@ -389,19 +400,24 @@ def _combos(*pairs):
 )
 @pytest.mark.parametrize("N", [BYTE_FOLD_MIN_N, BYTE_FOLD_MIN_N + 1, 10**5])
 def test_windowed_fold_equals_big_int_fold_on_dense_sets(N, p, combos, monkeypatch):
-    # Dense sets holding 0 and N: every fold is windowed and fills its
-    # middle.  At N = 10^5, where the output has whole blocks to cut, only
-    # the first combo runs, to keep the big-int oracle affordable.
+    # Dense sets holding 0 and N: every fold expects the covers of a
+    # windowed one and fills its middle, but only an output with a whole
+    # block away from both ends is windowed.  At N = 2^15 none is, and at
+    # N = 10^5 each fold but the first (for h = 2, none); every fold gives
+    # the bytes, so the cardinality, of the other side of the gate.  At
+    # N = 10^5 only the first combo runs, to keep the big-int oracle
+    # affordable.
     A = sample_set(SampleParameters(N=N, seed=N, p=p))
     A = _set(sorted({0, N, *A.elements.tolist()}), N)
     for combo in combos[:1] if N == 10**5 else combos:
         expected = _forced("int", A, combo, monkeypatch)
-        folds = _spy_folds(monkeypatch)
+        folds = _spy_folds(monkeypatch, other_side=True)
         result = gen_sumset(A, combo)
         monkeypatch.undo()
         assert result == expected
         sides = [fold[0] for fold in folds]
-        assert sides == _documented_gate(N, A.size, combo) == [True] * (combo.h - 1)
+        assert sides == _documented_gate(N, A.size, combo)
+        assert sides == [N == 10**5 and j > 1 for j in range(1, combo.h)]
         if A.size**combo.h <= 4 * 10**6:
             assert result == gen_sumset_naive(A, combo)
 
@@ -410,8 +426,10 @@ def test_windowed_fold_equals_big_int_fold_on_dense_sets(N, p, combos, monkeypat
     "N, size",
     [
         (BYTE_FOLD_MIN_N, 1024),  # |A|^2 / (N + 1) just below 32
-        (BYTE_FOLD_MIN_N, 1025),  # and just above
+        (BYTE_FOLD_MIN_N, 1025),  # and just above, but no block away from the ends
         (10**5, 300),  # h = 3: a plain first fold, then a windowed one
+        (1 << 17, 2048),  # the smallest N with such a block at h = 2: just below 32
+        (1 << 17, 2049),  # and just above
     ],
 )
 def test_window_gate_sides_and_plain_folds(N, size, monkeypatch):
@@ -426,11 +444,11 @@ def test_window_gate_sides_and_plain_folds(N, size, monkeypatch):
         result = gen_sumset(A, combo)
         monkeypatch.undo()
         assert result == expected
-        if combo.h == 2:
+        if combo.h == 2 and size**2 <= 2 * 10**6:  # beyond, the naive sums take seconds
             assert result == gen_sumset_naive(A, combo)
         sides = [fold[0] for fold in folds]
         assert sides == _documented_gate(N, size, combo)
-        assert sides[0] == (size == 1025)
+        assert sides[0] == (size == 2049)
         assert all(windowed or ored == plain for windowed, ored, plain in folds)
 
 
@@ -629,3 +647,60 @@ def test_trial_record_allocates_no_output_vector_after_its_first_call():
     _trial_record(first, combos, (), buffers)
     assert peak_traced_bytes(lambda: _trial_record(second, combos, (), buffers)) < vector
     assert peak_traced_bytes(lambda: _trial_record(second, combos, (), FoldBuffers())) > vector
+
+
+def _pipelined_records(monkeypatch, helpers_fail=False):
+    """records at N = 1000 in chunks of 16 words, on 3 threads, with its trials.
+
+    With helpers_fail, a helper raises as it starts drawing a trial, and the
+    calling thread draws nothing until one has, so a helper is sure to have
+    claimed a chunk (else the caller may draw every chunk first).
+    """
+    caller, failed = threading.get_ident(), threading.Event()
+
+    class Stream:
+        def __init__(self, seed, t):
+            if helpers_fail and threading.get_ident() != caller:
+                failed.set()
+                raise RuntimeError("injected sampler fault")
+            self.bit_generator = self
+            self._bitgen = substream(seed, t).bit_generator
+
+        def advance(self, blocks):
+            self._bitgen.advance(blocks)
+
+        def random_raw(self, size):
+            if helpers_fail:
+                assert failed.wait(timeout=10), "no helper claimed a chunk"
+            return self._bitgen.random_raw(size)
+
+    monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 16)
+    monkeypatch.setattr(sampling, "substream", Stream)
+    params = SampleParameters(N=1000, seed=4, p=0.05)
+    combos = _combos((1, 1), (2, 0))
+    trials = range(3, 9)
+    return sumset.records(params, trials, combos, (0, 5), threads=3), params, combos, trials
+
+
+def test_pipelined_records_leave_no_helper_behind(monkeypatch):
+    # Whether the consumer takes every record or closes the generator after
+    # one, the helpers have ended; the records are the one-thread ones.
+    before = threading.active_count()
+    records, params, combos, trials = _pipelined_records(monkeypatch)
+    expected = [_trial_record(sample_set(replace(params, trial_index=t)), combos, (0, 5),
+                              FoldBuffers()) for t in trials]
+    assert list(records) == expected
+    assert threading.active_count() == before
+    records, *_ = _pipelined_records(monkeypatch)
+    assert next(records) == expected[0]
+    assert threading.active_count() > before  # the helpers draw the next trial
+    records.close()
+    assert threading.active_count() == before
+
+
+def test_pipelined_records_raise_a_helper_fault(monkeypatch):
+    before = threading.active_count()
+    records, *_ = _pipelined_records(monkeypatch, helpers_fail=True)
+    with pytest.raises(RuntimeError, match="injected sampler fault"):
+        list(records)
+    assert threading.active_count() == before
