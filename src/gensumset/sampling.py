@@ -8,12 +8,13 @@ inclusion probability p = c * N**(-delta) (or a fixed p).
 
 `sample_set` builds one trial's set.  It reads the stream as the raw 64-bit
 Philox words, in chunks of SAMPLE_CHUNK, and keeps word w when
-w < K << 11 with K = ceil(p * 2^53).  That is the same set, not an
-approximation: Generator.random turns word w into the double
+w <= limit = (K << 11) - 1 with K = ceil(p * 2^53).  That is the same set,
+not an approximation: Generator.random turns word w into the double
 (w >> 11) * 2^-53, which is exact, and for the integer m = w >> 11 the test
 m * 2^-53 < p holds exactly when m < K, that is when w < K * 2^11.  At
-p = 1, K << 11 = 2^64 and every element is kept.  Skipping the conversion
-to doubles makes a draw at N = 10^6 about 1.2x as fast.
+p = 1 the limit is 2^64 - 1, which a uint64 holds, so every element is
+kept by the same test.  Skipping the conversion to doubles makes a draw at
+N = 10^6 about 1.2x as fast.
 
 The stream is counter-based: Philox turns counter block m into words
 4m .. 4m+3, so word 4m onward is Philox(key=(seed, t)) advanced by m
@@ -29,15 +30,16 @@ chunks' elements are joined in chunk order: the set is the one a single
 thread draws.
 
 `sample_sets(params, trials, threads=k)` yields the sets of a range of
-trials in order and starts its (up to k - 1) helper threads once.  Each
-trial is one chunk-claiming draw.  The helpers claim chunks of the newest
-trial that the caller has opened, and the caller opens trial t + 1 as it
-hands out trial t's set, so the helpers draw t + 1 while the caller works
-on t (in sumset.records, its folds, which run on one core) and never draw
-further ahead.  When the caller asks for t + 1 it claims what is left and
-waits only for the chunks in flight.  `sample_set(params, threads=k)` is
-the one-trial case.  With k = 1 no helper starts and the caller draws every
-chunk when it asks for the set.
+trials in order, on a thread pool of (up to) k - 1 workers made once per
+call.  Each trial is one chunk-claiming draw: the caller submits one task
+per worker as it hands out the previous trial's set, so the workers draw
+trial t + 1 while the caller works on t (in sumset.records, its folds,
+which run on one core) and never draw further ahead.  When the caller asks
+for t + 1 it claims what is left and then waits on the tasks' futures,
+which return once their chunks in flight are filed and raise a worker's
+fault.  `sample_set(params, threads=k)` is the one-trial case.  With k = 1
+no worker starts and the caller draws every chunk when it asks for the
+set.
 
 `sample_members` builds the membership rows of a batch of trials for the
 batched small-N path: it re-keys one Philox to (seed, t) through its state
@@ -52,6 +54,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -198,8 +201,16 @@ def substream(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Stream:
-    """One thread's Philox, placed in the stream of the trial it last drew from."""
+class _Stream(threading.local):
+    """Each thread's own Philox, placed in the stream of the trial it last drew from.
+
+    A threading.local: each thread that draws through it gets its own state,
+    set up by __init__ on its first use.  A thread only advances its Philox:
+    within a trial the chunk starts it claims ascend, since every task of
+    the trial (one per worker, and the caller's own claims) takes them from
+    the trial's one iterator in increasing order, and a thread runs one task
+    at a time.
+    """
 
     def __init__(self, seed: int):
         self._seed = seed
@@ -215,120 +226,66 @@ class _Stream:
         return self._bitgen.random_raw(count)
 
 
-class _Draw:
-    """One trial's draw: chunks any thread may claim, filed in chunk order.
-
-    The chunk starts are claimed from one iterator in increasing order
-    (under the GIL, so each goes to one thread).  left counts the chunks
-    not yet filed in parts; it is changed under the call's condition.
-    """
-
-    def __init__(self, t: int, size: int):
-        self.t = t
-        self.claims = iter(range(0, size, SAMPLE_CHUNK))
-        self.parts = [None] * -(-size // SAMPLE_CHUNK)
-        self.left = len(self.parts)
-
-
 def sample_sets(params: SampleParameters, trials: range, threads: int = 1):
     """Yield the set of each trial in trials, in order, as sample_set gives it.
 
     params.trial_index is ignored.  Each trial's N+1 raw words are drawn in
-    chunks of SAMPLE_CHUNK and compared with K << 11 (see the module
+    chunks of SAMPLE_CHUNK and kept up to the limit (see the module
     docstring), so the set is the one that random(N+1) < p gives.  The
-    calling thread and min(threads, chunks of a trial) - 1 helper threads,
-    started once per call, claim the chunks of a trial, each advancing its
-    own Philox of key (seed, t) to the block its chunk starts on, so at most
-    one chunk of words per thread is alive.  The next trial's chunks are
-    open to the helpers from the moment this trial's set is yielded, and no
-    later trial's: while the caller works on trial t's set, the helpers
-    draw trial t + 1, and when it asks for that set it claims what is left
-    and waits only for the chunks in flight.  An exception raised in any
-    thread is raised here, and every helper has ended once the generator is
-    exhausted or closed.
+    calling thread and the min(threads, chunks of a trial) - 1 workers of a
+    thread pool made once per call claim the chunks of a trial from one
+    iterator, each advancing its own Philox of key (seed, t) to the block
+    its chunk starts on, so at most one chunk of words per thread is alive.
+    Each trial gives each worker one task, submitted as the previous trial's
+    set is yielded, and no later trial's: while the caller works on trial
+    t's set, the workers draw trial t + 1, and when it asks for that set it
+    claims what is left and waits only for the chunks in flight.  The
+    tasks' futures carry their completion and faults: an exception raised
+    in any thread is raised here, and every worker has ended once the
+    generator is exhausted or closed.
     """
     if not trials:
         return
     N, size = params.N, params.N + 1
-    threshold = math.ceil(effective_p(params) * 2**53) << 11
-    if threshold > _MASK64:  # p = 1
-        for _ in trials:
-            yield SampledSet(N=N, elements=np.arange(size, dtype=np.int64))
-        return
-    threshold = np.uint64(threshold)
-    done = threading.Condition()
-    errors = []
-    ahead = None  # the newest trial's draw: the only one a helper claims from
-    closed = False
-
-    def draw(trial: _Draw, stream: _Stream) -> None:
-        """Claim and file chunks of trial until none is left to claim."""
-        for lo in trial.claims:
-            # One expression, so the chunk's words are freed before the next.
-            trial.parts[lo // SAMPLE_CHUNK] = np.flatnonzero(
-                stream.words(trial.t, lo, min(SAMPLE_CHUNK, size - lo)) < threshold) + lo
-            with done:
-                trial.left -= 1
-                if not trial.left:
-                    done.notify_all()
-
-    def help_draw() -> None:
-        stream, drawn = _Stream(params.seed), None
-        try:
-            while True:
-                with done:
-                    while ahead is drawn and not closed:
-                        done.wait()
-                    if closed:
-                        return
-                    drawn = ahead
-                draw(drawn, stream)
-        except BaseException as exc:  # raised again by the caller, never lost
-            with done:
-                errors.append(exc)
-                done.notify_all()
-
-    def publish(t: int) -> _Draw:
-        nonlocal ahead
-        with done:
-            ahead = _Draw(t, size)
-            done.notify_all()
-        return ahead
-
+    limit = np.uint64((math.ceil(effective_p(params) * 2**53) << 11) - 1)
+    chunks = -(-size // SAMPLE_CHUNK)
+    helpers = min(threads, chunks) - 1
     stream = _Stream(params.seed)
+    # numpy imports numpy.random on a process's first draw.  Imported here, on
+    # the calling thread, before any worker starts: imported on a worker, its
+    # allocations went to that thread's malloc arena, +0.4 MB of peak RSS.
+    import numpy.random  # noqa: F401
 
-    def finish(trial: _Draw) -> SampledSet:
-        """Claim what is left of trial, wait for its chunks in flight, join them."""
-        draw(trial, stream)
-        with done:
-            while trial.left and not errors:
-                done.wait()
-        if errors:
-            raise errors[0]
-        return SampledSet(N=N, elements=np.concatenate(trial.parts).astype(np.int64))
+    def draw(t: int, claims, parts: list) -> None:
+        """Claim and file chunks of trial t until none is left to claim."""
+        for lo in claims:
+            # One expression, so the chunk's words are freed before the next.
+            parts[lo // SAMPLE_CHUNK] = np.flatnonzero(
+                stream.words(t, lo, min(SAMPLE_CHUNK, size - lo)) <= limit) + lo
 
-    helpers = []
-    try:
-        for _ in range(min(threads, -(-size // SAMPLE_CHUNK)) - 1):
-            helper = threading.Thread(target=help_draw)
-            helper.start()
-            helpers.append(helper)
-        trial = publish(trials[0])
-        for t in trials[1:]:
-            A = finish(trial)
-            trial = publish(t)
-            yield A
-        yield finish(trial)
-    finally:
-        with done:
-            closed = True
-            done.notify_all()
-        if ahead is not None:
-            deque(ahead.claims, maxlen=0)  # leave the helpers nothing more to claim
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    def start(t: int):
+        """Open trial t: its claims, its parts, and one task per worker."""
+        claims, parts = iter(range(0, size, SAMPLE_CHUNK)), [None] * chunks
+        return t, claims, parts, [pool.submit(draw, t, claims, parts) for _ in range(helpers)]
+
+    def finish(t: int, claims, parts: list, tasks: list) -> SampledSet:
+        """Claim what is left of trial t, wait for its tasks, join its chunks."""
+        draw(t, claims, parts)
+        for task in tasks:
+            task.result()  # raises the worker's fault
+        return SampledSet(N=N, elements=np.concatenate(parts).astype(np.int64))
+
+    # Workers start as tasks are submitted: with no helper, none starts.
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:  # joins them on exit
+        trial = start(trials[0])
+        try:
+            for t in trials[1:]:
+                A = finish(*trial)
+                trial = start(t)
+                yield A
+            yield finish(*trial)
+        finally:
+            deque(trial[1], maxlen=0)  # leave the workers nothing more to claim
 
 
 def sample_set(params: SampleParameters, threads: int = 1) -> SampledSet:

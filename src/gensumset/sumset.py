@@ -70,9 +70,9 @@ for each combo, missing-probe mask), in trial order.  Up to BIT_SLICE_MAX_N
 it samples and folds the trials in bit-sliced batches (sample_members,
 _batch_records); above it, it draws the sets on `threads` threads
 (sample_sets) and folds each with _trial_record, whose kernel kernel_branch
-picks.  The records are the same either way.  sample_sets starts its
-helper threads once per call, and they draw trial t + 1 while this thread
-folds trial t: the Philox draws release the GIL and overlap the
+picks.  The records are the same either way.  sample_sets makes its
+thread pool once per call, and its workers draw trial t + 1 while this
+thread folds trial t: the Philox draws release the GIL and overlap the
 memory-bound ORs.  A critical_h3 trial (N = 10^6, |A| ~ 200) drew for
 about 8 ms on 2 cores, then folded for 10 ms on one; pipelined, its folds
 take 12-13 ms beside the draw and the caller waits about 1 ms a trial for

@@ -247,9 +247,20 @@ def test_a_fault_in_any_thread_is_raised_and_no_helper_outlives_the_call(monkeyp
     before = threading.active_count()
     assert sample_set(params, threads=3) == sample_set(params)
     assert threading.active_count() == before
-    caller = threading.get_ident()
+    caller, failed = threading.get_ident(), threading.Event()
+
+    def helpers_fail():
+        # The caller draws nothing until a helper has failed, so a helper is
+        # sure to have claimed a chunk (else the caller may draw every chunk
+        # first).
+        if threading.get_ident() == caller:
+            assert failed.wait(timeout=10), "no helper claimed a chunk"
+            return False
+        failed.set()
+        return True
+
     # A helper's fault is raised, not returned as a short set.
-    _slow_substream(monkeypatch, fail=lambda: threading.get_ident() != caller)
+    _slow_substream(monkeypatch, fail=helpers_fail)
     with pytest.raises(RuntimeError, match="injected sampler fault"):
         sample_set(params, threads=3)
     assert threading.active_count() == before

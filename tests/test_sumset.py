@@ -698,6 +698,43 @@ def test_pipelined_records_leave_no_helper_behind(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("threads", [2, 3, 5])
+def test_pipelined_draws_run_at_most_their_helpers(monkeypatch, threads):
+    # Drawing trial after trial, alone or under records' folds, runs at
+    # most min(threads, chunks) - 1 threads beside the caller, and none
+    # outlives a consumer whose loop raises.
+    counts = []
+
+    class Stream:
+        def __init__(self, seed, t):
+            self.bit_generator = self
+            self._bitgen = substream(seed, t).bit_generator
+
+        def advance(self, blocks):
+            self._bitgen.advance(blocks)
+
+        def random_raw(self, size):
+            counts.append(threading.active_count())
+            return self._bitgen.random_raw(size)
+
+    monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 16)
+    monkeypatch.setattr(sampling, "substream", Stream)
+    params = SampleParameters(N=16 * 40 - 1, seed=6, p=0.2)  # 40 chunks, above BIT_SLICE_MAX_N
+    trials = range(10, 14)
+    before = threading.active_count()
+    most = before + min(threads, 40) - 1
+    for A in sampling.sample_sets(params, trials, threads):
+        assert before < threading.active_count() <= most
+    assert before < max(counts) <= most
+    assert threading.active_count() == before
+    with pytest.raises(KeyError, match="consumer"):
+        for record in sumset.records(params, trials, _combos((1, 1), (2, 0)), threads=threads):
+            assert before < threading.active_count() <= most
+            raise KeyError("consumer")
+    assert threading.active_count() == before
+    assert max(counts) <= most
+
+
 def test_pipelined_records_raise_a_helper_fault(monkeypatch):
     before = threading.active_count()
     records, *_ = _pipelined_records(monkeypatch, helpers_fail=True)
