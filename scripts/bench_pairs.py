@@ -21,6 +21,12 @@ from its start to its exit, which also says whether its report is
 byte-identical to that side's `results/`.  Each config also runs once a
 side at `--workers 2`, recorded the same way.
 
+Every child runs in its own session (`run_child`).  A SIGTERM or Ctrl-C kills
+the running child's whole process group, `perfbench/run.py`'s workers
+included, and removes the temporary directory, which is also the
+children's TMPDIR, so a stopped comparison leaves nothing running and no
+copy behind.
+
 The file holds the machine (nproc, CPU model, Python and numpy versions),
 per workload each side's failed and attempted operations and each run's
 `correct` flag, per end-to-end metric each side's runs, median and
@@ -37,11 +43,13 @@ library is used.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import platform
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -59,12 +67,31 @@ COUNT = re.compile(r"(\d+) (passed|failed)")
 DURATION = re.compile(r"^\s*([0-9.]+)s (setup|call|teardown)\s+(\S+)\s*$")
 
 
+def run_child(cmd: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """subprocess.run's result for cmd, its output captured, in a new session.
+
+    On any exception, a SIGTERM turned into SystemExit or a KeyboardInterrupt
+    included, the child's process group is killed and waited for before the
+    exception goes on: the child and everything it started in its group.
+    """
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True, **kwargs) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 def checkout(rev: str, into: Path) -> Path:
     """A clean copy of rev's tracked files in a new directory `into`."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
-                             check=True, capture_output=True).stdout
+    archive = run_child(["git", "archive", "--format=tar", rev], cwd=ROOT)
+    archive.check_returncode()
     into.mkdir(parents=True)
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(into)
     return into
 
@@ -76,9 +103,8 @@ def bench(side: Path, workload: str, seconds: int, metrics: list[str], where: st
     reports no value for one of `metrics`, as a run with no good operation
     does.
     """
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seconds", str(seconds)], cwd=side,
-                          capture_output=True, text=True)
+    proc = run_child([sys.executable, "perfbench/run.py", "--workload", workload,
+                "--seconds", str(seconds)], cwd=side, text=True)
     if proc.returncode != 0:
         sys.exit(f"{where}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -104,7 +130,7 @@ def tier1(side: Path) -> dict:
     summary line and per-test durations (all phases summed)."""
     env = dict(os.environ, PYTHONPATH="src")
     start = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=side, env=env, capture_output=True, text=True)
+    proc = run_child(TIER1, cwd=side, env=env, text=True)
     wall = time.perf_counter() - start
     durations: dict[str, float] = {}
     for line in proc.stdout.splitlines():
@@ -144,9 +170,8 @@ def battery_run(side: Path, stem: str, workers: int, where: str) -> dict:
     """One `run_regimes.py --check` run of one config: wall time and byte-identity."""
     env = dict(os.environ, PYTHONPATH="src")
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "scripts/run_regimes.py", "--check",
-                           "--workers", str(workers), "--only", stem], cwd=side,
-                          env=env, capture_output=True, text=True)
+    proc = run_child([sys.executable, "scripts/run_regimes.py", "--check",
+                "--workers", str(workers), "--only", stem], cwd=side, env=env, text=True)
     wall = time.perf_counter() - start
     if proc.returncode not in (0, 1):  # 1: the report differs from results/
         sys.exit(f"{where}: run_regimes.py exited {proc.returncode}\n{proc.stderr}")
@@ -186,10 +211,15 @@ def machine() -> dict:
                         if line.startswith("model name")), cpu)
     except OSError:
         pass
-    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                           capture_output=True, text=True).stdout.strip()
+    numpy = run_child([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                text=True).stdout.strip()
     return {"nproc": os.cpu_count(), "cpu_model": cpu,
             "python": platform.python_version(), "numpy": numpy}
+
+
+def _stop(signum, frame):
+    """SIGTERM as SystemExit, so that `with` blocks and `run_child` clean up."""
+    sys.exit(128 + signum)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -198,7 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", default="HEAD", help="revision of the changed side")
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, _stop)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as workdir:
+        os.environ["TMPDIR"] = workdir  # what a killed child leaves goes with it
         result = compare(args, {side: checkout(rev, Path(workdir) / side)
                                 for side, rev in (("base", args.base), ("change", args.change))})
     out = ROOT / f"BENCH_{args.pr}.json"

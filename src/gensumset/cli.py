@@ -76,9 +76,17 @@ def _fraction(text: str) -> Fraction:
         raise ConfigError(f"delta: {text!r} is not a rational ({exc})") from exc
 
 
+def _kmax(kmax: int | None) -> int | None:
+    if kmax is not None and kmax < 0:
+        raise ConfigError(f"kmax: must be non-negative, got {kmax}")
+    return kmax
+
+
 def _cmd_constants(args) -> int:
+    if args.h < 2:  # as b_constant says, but --kmax 0 calls no b_constant
+        raise ConfigError(f"h: must be at least 2, got {args.h}")
     prov = _provenance(args, None)
-    b = [b_constant(args.h, k) for k in range(1, args.kmax + 1)]
+    b = [b_constant(args.h, k) for k in range(1, _kmax(args.kmax) + 1)]
     if args.format == "csv":
         text = "k,b_hk\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(b, start=1))
         _emit(text, args.out, prov, "# ")
@@ -155,7 +163,7 @@ def _cmd_xk(args) -> int:
     combo = _combo(args.s, args.d)
     prov = _provenance(args, None)
     A = _read_set(args.infile)
-    stats = tuple_statistics(A, combo, k_max=args.kmax)
+    stats = tuple_statistics(A, combo, k_max=_kmax(args.kmax))
     doc = {
         "provenance": prov,
         "s": args.s,

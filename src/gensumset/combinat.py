@@ -101,7 +101,7 @@ def stars_and_bars(n: int, k: int) -> int:
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise ValueError(f"k: must be positive, got {k}")
     return ext_binom(n + k - 1, k - 1)
 
 
@@ -114,7 +114,7 @@ def rep_count(n: int, combo: SignedCombination, N: int) -> int:
     0..h; extended binomials kill the out-of-range terms.
     """
     if N < 0:
-        raise ValueError(f"N must be non-negative, got {N}")
+        raise ValueError(f"N: must be non-negative, got {N}")
     lo, hi = combo.value_range(N)
     if n < lo or n > hi:
         return 0
@@ -140,7 +140,7 @@ def rep_counts_all(
     term-for-term the rep_count sum, without one binomial per entry.
     """
     if N < 0:
-        raise ValueError(f"N must be non-negative, got {N}")
+        raise ValueError(f"N: must be non-negative, got {N}")
     h = combo.h
     span = h * N + 1
     if span > entry_budget:
@@ -173,7 +173,7 @@ def rep_count_bruteforce(
 ) -> int:
     """Exhaustive-enumeration oracle for rep_count."""
     if N < 0:
-        raise ValueError(f"N must be non-negative, got {N}")
+        raise ValueError(f"N: must be non-negative, got {N}")
     if (N + 1) ** combo.h > tuple_budget:
         raise BudgetError(
             f"enumerating {(N + 1) ** combo.h} ordered tuples exceeds the budget "
@@ -208,7 +208,7 @@ def distinct_class_count(
 ) -> int:
     """Representation classes of n: ordered tuples up to permuting within blocks."""
     if N < 0:
-        raise ValueError(f"N must be non-negative, got {N}")
+        raise ValueError(f"N: must be non-negative, got {N}")
     n_classes = math.comb(N + combo.s, combo.s) * math.comb(N + combo.d, combo.d)
     if n_classes > tuple_budget:
         raise BudgetError(

@@ -90,7 +90,7 @@ def limit_density(u: float, h: int) -> float:
     h/2 and its pieces are better conditioned for small u.
     """
     if h < 2:
-        raise ValueError(f"h must be at least 2, got {h}")
+        raise ValueError(f"h: must be at least 2, got {h}")
     if u < 0.0 or u > h:
         return 0.0
     if u > h / 2:
@@ -116,9 +116,9 @@ def b_constant(h: int, k: int) -> float:
     b(h, 1) = 1 for every h (the density has unit mass).
     """
     if h < 2:
-        raise ValueError(f"h must be at least 2, got {h}")
+        raise ValueError(f"h: must be at least 2, got {h}")
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise ValueError(f"k: must be positive, got {k}")
     with _B_LOCK:
         powers, table = _B_TABLES.setdefault(h, ([(1,)] * h, []))
         while len(table) < k:
@@ -151,7 +151,7 @@ def b_constant_finiteN_oracle(
     if combo.h != h:
         raise ValueError(f"combo {combo} has h={combo.h}, expected {h}")
     if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+        raise ValueError(f"N: must be positive, got {N}")
     perm = combo.block_permutations
     table = rep_counts_all(combo, N)
     total = math.fsum(_falling_binom(c / perm, k) for c in table.counts)
@@ -268,7 +268,7 @@ def classify_regime(h: int, delta: Fraction) -> Regime:
     rejected because equality with the transition point must be decidable.
     """
     if h < 2:
-        raise ValueError(f"h must be at least 2, got {h}")
+        raise ValueError(f"h: must be at least 2, got {h}")
     if isinstance(delta, float):
         raise TypeError("delta must be an exact rational (Fraction or string), not float")
     delta = Fraction(delta)
@@ -398,7 +398,7 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
     the terms down to the 1e-30 cutoff.
     """
     if N < 0:
-        raise ValueError(f"N must be non-negative, got {N}")
+        raise ValueError(f"N: must be non-negative, got {N}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if N == 0:
@@ -459,7 +459,7 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
     never settles adds exactly the kept terms.
     """
     if N < 0:
-        raise ValueError(f"N must be non-negative, got {N}")
+        raise ValueError(f"N: must be non-negative, got {N}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     q = 1.0 - p

@@ -135,9 +135,9 @@ class SampledSet:
         object.__setattr__(self, "elements", elements)
         if elements.size:
             if elements[0] < 0 or elements[-1] > self.N:
-                raise ValueError("elements must lie in [0, N]")
+                raise ValueError(f"elements: must lie in [0, {self.N}]")
             if np.any(np.diff(elements) <= 0):
-                raise ValueError("elements must be strictly increasing")
+                raise ValueError("elements: must be strictly increasing, with no repeats")
 
     @classmethod
     def from_iterable(cls, elements, N: int | None = None) -> "SampledSet":
@@ -174,10 +174,17 @@ class SampledSet:
     def read(cls, inp) -> "SampledSet":
         header = inp.readline().strip()
         if not header.startswith("N="):
-            raise ValueError(f"expected first line 'N=<N>', got {header!r}")
-        N = int(header[2:])
+            raise ValueError(f"N: expected first line 'N=<N>', got {header!r}")
+        try:
+            N = int(header[2:])
+        except ValueError as exc:
+            raise ValueError(f"N: {exc}") from None
         body = inp.readline().split()
-        return cls(N=N, elements=np.array([int(tok) for tok in body], dtype=np.int64))
+        try:
+            elements = np.array([int(tok) for tok in body], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"elements: {exc}") from None
+        return cls(N=N, elements=elements)
 
 
 def scatter_bits(offsets: np.ndarray, out: np.ndarray) -> np.ndarray:

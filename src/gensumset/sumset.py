@@ -42,15 +42,15 @@ all three give the same sumset.
   enumerated instead: each fold takes the outer sum of the distinct values
   so far with the sorted elements (or their reflection), sorts it and
   drops equal neighbours.  gen_sumset scatters the distinct offsets into
-  zeroed bytes; _trial_record counts them and finds its probes by binary
-  search.  Its cost follows |A|^h, not N.  The rule is a memory cap:
-  the last outer sum holds at most |A|^h int64 entries, so with its sort
-  mask and its distinct copy its temporaries take at most 17|A|^h bytes,
-  and (4h - 3)N/8 bytes is the byte fold's own working set (its input, two
-  word copies and its output; tracemalloc read 0.77N, 1.35N and 1.86-1.97N
-  bytes for h = 2, 3 and 4 at N = 10^6).  Inside the cap the enumeration is also
-  the faster kernel.  Against the byte fold (2 cores, numpy 2.4.6, all
-  combos with h <= 4) it ran 11-30x as fast at N = 10^6 and
+  zeroed bytes; _trial_record counts them.  Its cost follows |A|^h, not N.
+  The rule is a memory cap: the last outer sum holds at most |A|^h int64
+  entries, so with its sort mask and its distinct copy its temporaries take
+  at most 17|A|^h bytes, and (4h - 3)N/8 bytes is the byte fold's own
+  working set (its input, two word copies and its output; tracemalloc read
+  0.77N, 1.35N and 1.86-1.97N bytes for h = 2, 3 and 4 at N = 10^6).
+  Inside the cap the enumeration is also the faster kernel.  Against the
+  byte fold (2 cores, numpy 2.4.6, all combos with h <= 4) it ran 11-30x
+  as fast at N = 10^6 and
   |A|^h/N ~ 0.001, 1.5-5.3x near the cap's edge (h = 2 at |A| = 192,
   h = 3 at |A| = 32, h = 4 at |A| = 16), and 0.5-1.7x further out (h = 2 at
   |A| = 256, h = 3 at |A| = 48-64, h = 4 at |A| = 24); at N = 2^15 it ran
@@ -66,7 +66,10 @@ no np.bitwise_count (numpy 2.0).
 records(params, trials, combos, probes, threads) is the experiment
 pipeline's one entry, and every kernel decision is made below it.  It
 samples each trial of a range and yields its integer record (|A|, |A_combo|
-for each combo, missing-probe mask), in trial order.  Up to BIT_SLICE_MAX_N
+for each combo, missing-sum mask), in trial order.  The kernels only count;
+the mask, whose bit j says that probes[j] is not in A + A, comes from the
+set's elements by binary search (_missing_sums), 0.1-0.2 ms for a
+slow_h2 set (|A| ~ 15.8k), and is 0 with no probes.  Up to BIT_SLICE_MAX_N
 it samples and folds the trials in bit-sliced batches (sample_members,
 _batch_records); above it, it draws the sets on `threads` threads
 (sample_sets) and folds each with _trial_record, whose kernel kernel_branch
@@ -78,7 +81,7 @@ about 8 ms on 2 cores, then folded for 10 ms on one; pipelined, its folds
 take 12-13 ms beside the draw and the caller waits about 1 ms a trial for
 the rest of the set (warm process, 2 cores, numpy 2.4.6).
 
-_trial_record(A, combos, probes, buffers) runs the folds of _walk for one
+_trial_record(A, combos, buffers) runs the folds of _walk for one
 set, and gen_sumset is its one-combo case.  It builds no GenSumsetResult.
 Combos whose fold sequences, s - 1 copies of A then d of its reflection,
 share a prefix fold it once: (2,1) and (3,0) share A + A.  Byte folds write
@@ -110,6 +113,7 @@ statistics) are provided at small scale, guarded by tuple budgets.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from contextlib import closing
 from dataclasses import dataclass
@@ -445,42 +449,36 @@ def _cardinality(branch: str, folded, span: int) -> int:
     return _popcount(folded[: (span + 7) // 8])
 
 
-def _missing(branch: str, folded, offsets, span: int) -> int:
-    """Bitmask of the offsets, by position, that the folded sum does not hold."""
-    mask = 0
-    for j, offset in enumerate(offsets):
-        if 0 <= offset < span:
-            if branch == "int":
-                held = folded >> offset & 1
-            elif branch == "enumerate":
-                k = int(np.searchsorted(folded, offset))
-                held = k < folded.size and folded[k] == offset
-            else:
-                held = folded[offset >> 3] >> (offset & 7) & 1
-            if held:
-                continue
-        mask |= 1 << j
-    return mask
+def _trial_record(A: SampledSet, combos, buffers: FoldBuffers) -> tuple[int, ...]:
+    """(|A|, |A_combo| for each combo) of one set.
 
-
-def _trial_record(A: SampledSet, combos, probes, buffers: FoldBuffers) -> tuple[int, ...]:
-    """(|A|, |A_combo| for each combo, missing-probe mask) of one set.
-
-    Bit j of the mask is set when probes[j] is missing from the first
-    combo's sumset: the integers _batch_records gives for a batch of sets.
-    The sumsets are folded by _walk, each shared prefix once, and reduced
-    to integers in place; no GenSumsetResult is built and the enumeration
-    scatters nothing.  Byte folds write into buffers.
+    The integers _batch_records gives for a batch of sets.  The sumsets are
+    folded by _walk, each shared prefix once, and counted in place; no
+    GenSumsetResult is built and the enumeration scatters nothing.  Byte
+    folds write into buffers.
     """
     record = [A.size] + [0] * len(combos)
-    missing = 0
     for i, branch, folded in _walk(A, combos, buffers):
-        combo = combos[i]
-        span = combo.h * A.N + 1
-        record[i + 1] = _cardinality(branch, folded, span)
-        if i == 0:
-            missing = _missing(branch, folded, [n + combo.d * A.N for n in probes], span)
-    return (*record, missing)
+        record[i + 1] = _cardinality(branch, folded, combos[i].h * A.N + 1)
+    return tuple(record)
+
+
+def _missing_sums(elements: np.ndarray, N: int, probes) -> int:
+    """Bitmask of the probes, by position, that A + A does not hold.
+
+    elements is A, ascending, a subset of [0, N].  n lies in A + A iff some
+    a of A with n - N <= a <= n // 2 has n - a in A: one search bounds
+    those a, a second looks up each n - a.  A probe outside [0, 2N] has no
+    such a, so it counts as missing.
+    """
+    mask = 0
+    for j, n in enumerate(probes):
+        lo, hi = np.searchsorted(elements, (n - N, n // 2 + 1))
+        others = n - elements[lo:hi]
+        found = elements.take(np.searchsorted(elements, others), mode="clip")
+        if not np.any(found == others):
+            mask |= 1 << j
+    return mask
 
 
 def gen_sumset(
@@ -544,17 +542,16 @@ def _unpacked(words: np.ndarray) -> np.ndarray:
 
 
 def _batch_records(
-    members: np.ndarray, combos: tuple[SignedCombination, ...], probes=()
+    members: np.ndarray, combos: tuple[SignedCombination, ...]
 ) -> list[tuple[int, ...]]:
     """Records of a batch of sets given as a bool membership matrix (T, N+1).
 
-    Record i is (|A|, |A_combo| for each combo, missing-probe mask) for the
-    set in row i, where bit j of the mask is set when probes[j] is missing
-    from the first combo's sumset: the integers gen_sumset gives set by set.
-    Bit i of word (w, a) says whether set 64w + i contains a, so each
-    numpy operation on a row of words folds 64 sets.  Each combo folds like
-    gen_sumset: s - 1 copies of A, then d of the reflection {N - a}, whose
-    columns are A's in reverse order.
+    Record i is (|A|, |A_combo| for each combo) for the set in row i: the
+    integers gen_sumset gives set by set.  Bit i of word (w, a) says
+    whether set 64w + i contains a, so each numpy operation on a row of
+    words folds 64 sets.  Each combo folds like gen_sumset: s - 1 copies of
+    A, then d of the reflection {N - a}, whose columns are A's in reverse
+    order.
     """
     T, n = members.shape
     W = -(-T // 64)
@@ -563,41 +560,36 @@ def _batch_records(
     words = np.ascontiguousarray(packed.reshape(W, 8, n).transpose(0, 2, 1))
     words = words.view("<u8").reshape(W, n)
     columns = [members.sum(axis=1).tolist()]
-    masks = [0] * T
-    for i, combo in enumerate(combos):
+    for combo in combos:
         acc = words
         for base in [words] * (combo.s - 1) + [words[:, ::-1]] * combo.d:
             acc = _fold_words(acc, base)
         columns.append(_unpacked(acc).sum(axis=1).reshape(-1)[:T].tolist())
-        if i == 0 and probes:
-            offsets = np.asarray(probes, dtype=np.int64) + combo.d * (n - 1)
-            inside = (offsets >= 0) & (offsets < acc.shape[1])
-            missing = np.full((W, len(probes)), _ALL_SETS, dtype="<u8")
-            missing[:, inside] = ~acc[:, offsets[inside]]
-            by_set = np.packbits(_unpacked(missing), axis=1, bitorder="little")
-            masks = [int.from_bytes(row.tobytes(), "little")
-                     for row in by_set.transpose(0, 2, 1).reshape(64 * W, -1)[:T]]
-    return list(zip(*columns, masks))
+    return list(zip(*columns))
 
 
 def records(params: SampleParameters, trials: range, combos, probes=(), threads: int = 1):
-    """Yield (|A|, |A_combo| for each combo, missing-probe mask) for each trial, in order.
+    """Yield (|A|, |A_combo| for each combo, missing-sum mask) for each trial, in order.
 
-    Bit j of the mask is set when probes[j] is missing from the first
-    combo's sumset; params.trial_index is ignored.  The experiment
+    Bit j of the mask is set when probes[j] is not in A + A (_missing_sums);
+    with no probes it is 0.  params.trial_index is ignored.  The experiment
     pipeline's one entry, which samples the sets and picks the kernel (see
     the module docstring); the FoldBuffers is released with the last record.
     """
-    if params.N > BIT_SLICE_MAX_N:
+    N = params.N
+    if N > BIT_SLICE_MAX_N:
         buffers = FoldBuffers()
         with closing(sample_sets(params, trials, threads)) as sets:
             for A in sets:
-                yield _trial_record(A, combos, probes, buffers)
+                yield (*_trial_record(A, combos, buffers), _missing_sums(A.elements, N, probes))
         return
-    span = max(combo.h for combo in combos) * params.N + 1
+    span = max(combo.h for combo in combos) * N + 1
     size = 64 * max(1, _BATCH_BYTES // (64 * span))
     for lo in range(0, len(trials), size):
-        yield from _batch_records(sample_members(params, trials[lo : lo + size]), combos, probes)
+        members = sample_members(params, trials[lo : lo + size])
+        masks = ([_missing_sums(np.flatnonzero(row), N, probes) for row in members] if probes
+                 else [0] * len(members))
+        yield from map(operator.add, _batch_records(members, combos), zip(masks))
 
 
 def gen_sumset_naive(

@@ -239,6 +239,21 @@ def test_exit_code_2_on_config_errors(capsys, tmp_path):
         assert code == 2
         assert "c must be positive and finite" in err
 
+    # each of these names its field first, exits 2 and prints nothing to stdout
+    set_path = tmp_path / "set.txt"
+    set_path.write_text("N=5\n1 2\n")
+    for argv, message in [
+        (("constants", "--h", "3", "--kmax", "-1"), "kmax: must be non-negative, got -1"),
+        (("constants", "--h", "1"), "h: must be at least 2, got 1"),
+        (("constants", "--h", "1", "--kmax", "0"), "h: must be at least 2, got 1"),
+        (("rcount", "--N", "-1", "--s", "2", "--d", "0"), "N: must be non-negative, got -1"),
+        (("xk", "--infile", str(set_path), "--s", "1", "--d", "1", "--kmax", "-1"),
+         "kmax: must be non-negative, got -1"),
+    ]:
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert err == f"configuration error: {message}\n" and out == ""
+
     # each bad field exits 2, naming it, before the provenance line is printed
     fast = {"kind": "fast-ratio", "combos": [[1, 1], [2, 0]], "N": [200, 4000],
             "c": 1.0, "delta": "3/4", "trials": 2, "seed": 1}
@@ -302,8 +317,21 @@ def test_exit_code_3_on_budget_refusal(capsys):
 
 @pytest.mark.parametrize("command", ["sumset", "xk"])
 def test_negative_n_set_file_exits_2(command, capsys, tmp_path):
+    # A bad set file exits 2 naming its field, before the provenance line.
     set_path = tmp_path / "set.txt"
-    set_path.write_text("N=-5\n\n")
-    code, out, err = _run(capsys, command, "--infile", str(set_path), "--s", "1", "--d", "1")
-    assert code == 2
-    assert err.startswith("configuration error: N: ") and out == ""
+    for text, field in [
+        ("N=-5\n\n", "N"),
+        ("N=abc\n1 2\n", "N"),
+        ("M=5\n1 2\n", "N"),
+        ("N=5\n1 2.5\n", "elements"),
+        ("N=5\n1 x\n", "elements"),
+        ("N=5\n1 6\n", "elements"),
+        ("N=5\n-1 2\n", "elements"),
+        ("N=5\n3 3\n", "elements"),
+        ("N=5\n4 2\n", "elements"),
+    ]:
+        set_path.write_text(text)
+        code, out, err = _run(capsys, command, "--infile", str(set_path), "--s", "1",
+                              "--d", "1")
+        assert code == 2, text
+        assert err.startswith(f"configuration error: {field}: ") and out == "", text

@@ -1,12 +1,13 @@
 import importlib.util
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gensumset import BudgetError, ConfigError, SignedCombination, sample_set
+from gensumset import BudgetError, ConfigError, SignedCombination, gen_sumset_naive, sample_set
 from gensumset import density, experiments, sumset
 from gensumset.experiments import (
     ExperimentConfig,
@@ -464,9 +465,9 @@ def test_trials_of_one_n_share_one_set_of_buffers(monkeypatch):
     used = []
     trial_record = sumset._trial_record
 
-    def spy(A, combos, probes, buffers):
+    def spy(A, combos, buffers):
         used.append((A.N, id(buffers)))
-        return trial_record(A, combos, probes, buffers)
+        return trial_record(A, combos, buffers)
 
     monkeypatch.setattr(sumset, "_trial_record", spy)
     monkeypatch.setattr(experiments, "_CHUNK_TRIALS", 2)
@@ -493,26 +494,34 @@ def test_chunk_size_never_reaches_a_report(chunk_trials, monkeypatch):
 def test_batched_and_per_trial_paths_give_the_same_records(monkeypatch):
     # Up to BIT_SLICE_MAX_N sumset.records samples and folds the trials in
     # batches; above it, trial by trial.  Both give the same records, probe
-    # masks included.
-    N = sumset.BIT_SLICE_MAX_N
-    params = SampleParameters(N=N, seed=3, c=1.0, delta=Fraction(1, 10))
-    probes = tuple(range(10)) + tuple(range(2 * N - 9, 2 * N + 1))
-
-    def records():
-        return list(sumset.records(params, range(5, 135), experiments._SUM_DIFF, probes))
-
+    # masks included, and so does the enumeration oracle set by set.
     def other_path(*args):
         raise AssertionError("took the other path")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(sumset, "sample_sets", other_path)
-        batched = records()
-    with monkeypatch.context() as patch:
-        patch.setattr(sumset, "BIT_SLICE_MAX_N", N - 1)
-        patch.setattr(sumset, "sample_members", other_path)
-        per_trial = records()
-    assert batched == per_trial
-    assert any(record[-1] for record in batched)  # some probe was missing
+    trials = range(5, 135)
+    for N, decay in [(1, {"p": 0.5}), (7, {"p": 0.5}),
+                     (sumset.BIT_SLICE_MAX_N, {"c": 1.0, "delta": Fraction(1, 10)})]:
+        params = SampleParameters(N=N, seed=3, **decay)
+        probes = tuple(range(10)) + tuple(range(2 * N - 9, 2 * N + 1))
+
+        def records():
+            return list(sumset.records(params, trials, experiments._SUM_DIFF, probes))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sumset, "sample_sets", other_path)
+            batched = records()
+        with monkeypatch.context() as patch:
+            patch.setattr(sumset, "BIT_SLICE_MAX_N", N - 1)
+            patch.setattr(sumset, "sample_members", other_path)
+            per_trial = records()
+        assert batched == per_trial
+        assert any(record[-1] for record in batched)  # some probe was missing
+        for t, record in zip(trials, batched):
+            A = sample_set(replace(params, trial_index=t))
+            results = [gen_sumset_naive(A, combo) for combo in experiments._SUM_DIFF]
+            held = set(results[0].values())  # A + A
+            missing = sum((n not in held) << j for j, n in enumerate(probes))
+            assert record == (A.size, *(result.cardinality for result in results), missing)
 
 
 def test_pool_has_no_more_workers_than_chunks(monkeypatch):

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_combos, peak_traced_bytes
@@ -30,6 +30,7 @@ from gensumset.sumset import (
     BYTE_FOLD_MIN_N,
     _batch_records,
     _enumerated_sums,
+    _missing_sums,
     _popcount,
     _shift_or,
     _shift_or_bytes,
@@ -208,7 +209,7 @@ def test_mstd_classification():
         sums, diffs = (gen_sumset(A, combo).cardinality for combo in sum_diff)
         members = np.zeros((1, N + 1), dtype=bool)
         members[0, A.elements] = True
-        [(_, batch_sums, batch_diffs, _)] = _batch_records(members, sum_diff)
+        [(_, batch_sums, batch_diffs)] = _batch_records(members, sum_diff)
         assert np.sign(sums - diffs) == np.sign(batch_sums - batch_diffs) == sign
 
 
@@ -536,11 +537,34 @@ def test_values_and_membership_csv_match_int_walk_hypothesis(N, elements, combo)
     _assert_linear_readers_match_int_walk(gen_sumset(A, combo))
 
 
-def _per_set_record(A, combos, probes, kernel):
-    results = [kernel(A, combo) for combo in combos]
-    held = set(results[0].values())
-    missing = sum((n not in held) << j for j, n in enumerate(probes))
-    return (A.size, *(result.cardinality for result in results), missing)
+def _per_set_record(A, combos, kernel):
+    return (A.size, *(kernel(A, combo).cardinality for combo in combos))
+
+
+def _missing_mask(A, probes, kernel=gen_sumset_naive):
+    # Bit j set when probes[j] is not a value of A + A, as kernel lists them.
+    held = set(kernel(A, SignedCombination(2, 0)).values())
+    return sum((n not in held) << j for j, n in enumerate(probes))
+
+
+@given(
+    N=st.integers(1, 60),
+    elements=st.lists(st.integers(0, 60), max_size=24),
+    ends=st.sets(st.sampled_from(["0", "N"])),
+    extra=st.lists(st.integers(-70, 130), max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+@example(N=1, elements=[], ends=set(), extra=[])  # the empty set
+@example(N=60, elements=[], ends=set(), extra=[61, 119])
+@example(N=60, elements=[17], ends=set(), extra=[34, 35])  # a singleton
+@example(N=1, elements=[], ends={"0", "N"}, extra=[])  # {0, N}
+@example(N=60, elements=[], ends={"N"}, extra=[])
+def test_missing_sums_match_naive_sumset(N, elements, ends, extra):
+    # Probes at both ends of [0, 2N], just outside it, and anywhere.
+    A = SampledSet.from_iterable([e for e in elements if e <= N]
+                                 + [{"0": 0, "N": N}[end] for end in ends], N=N)
+    probes = (-1, 0, N, 2 * N, 2 * N + 1, *extra)
+    assert _missing_sums(A.elements, N, probes) == _missing_mask(A, probes)
 
 
 @pytest.mark.parametrize(
@@ -556,27 +580,33 @@ def _per_set_record(A, combos, probes, kernel):
     ],
 )
 def test_batch_records_match_per_set_kernels(N, p, T, seed):
-    # The bit-sliced batch gives, set by set, the records that gen_sumset
-    # and the enumeration oracle give.  Probes outside the value range are
+    # The bit-sliced batch gives, set by set, the counts that gen_sumset
+    # and the enumeration oracle give, and records adds the mask of the
+    # probes missing from A + A.  Probes outside the value range are
     # missing, as values() says.
     combos = tuple(all_combos(2, 4))
     probes = (-N - 1, -1, 0, 1, N, 2 * N - 1, 2 * N, 2 * N + 1, 4 * N + 1)
     params = SampleParameters(N=N, seed=seed, p=p)
-    records = _batch_records(sample_members(params, range(T)), combos, probes)
-    assert len(records) == T
-    empty = (0,) * (1 + len(combos)) + ((1 << len(probes)) - 1,)
-    for t, record in enumerate(records):
+    counts = _batch_records(sample_members(params, range(T)), combos)
+    records = list(sumset.records(params, range(T), combos, probes))
+    assert len(counts) == len(records) == T
+    empty = (0,) * (1 + len(combos))
+    for t, (count, record) in enumerate(zip(counts, records)):
         A = sample_set(replace(params, trial_index=t))
-        assert record == _per_set_record(A, combos, probes, gen_sumset)
+        assert count == _per_set_record(A, combos, gen_sumset)
+        assert record == (*count, _missing_mask(A, probes, gen_sumset))
         if A.size <= 12:
-            assert record == _per_set_record(A, combos, probes, gen_sumset_naive)
-        assert (record == empty) == (A.size == 0)
+            assert count == _per_set_record(A, combos, gen_sumset_naive)
+            assert record[-1] == _missing_mask(A, probes)
+        assert (count == empty) == (A.size == 0)
+        if A.size == 0:
+            assert record[-1] == (1 << len(probes)) - 1
     if p == 1e-3:
-        assert records.count(empty) > T // 2
+        assert counts.count(empty) > T // 2
 
 
 def _probes(N, combo):
-    # Offsets inside the first combo's range, at its ends, and just outside.
+    # Values inside combo's range, at its ends, and just outside.
     lo, hi = combo.value_range(N)
     return (lo - 1, lo, lo + 1, 0, 1, N, hi - 1, hi, hi + 1, 5 * N)
 
@@ -592,11 +622,13 @@ def _probes(N, combo):
     ],
 )
 def test_trial_record_matches_per_combo_kernels(combos, branch, monkeypatch):
-    # One _trial_record call gives the records of gen_sumset run combo by
+    # One _trial_record call gives the counts of gen_sumset run combo by
     # combo, through the same forced branch (None: the documented rule), and
     # of the enumeration oracle where |A|^h is affordable.  One buffer set
     # serves every set in turn, a dense one before sparse and empty ones, so
-    # a stale byte of an earlier set would show in a later record.
+    # a stale byte of an earlier set would show in a later record.  The
+    # probe mask of each set, which records appends, matches gen_sumset's
+    # A + A and, where affordable, the oracle's.
     N = BYTE_FOLD_MIN_N + 3
     rng = np.random.default_rng(len(combos))
     dense = [0, N, *rng.choice(np.arange(1, N), size=N // 3, replace=False).tolist()]
@@ -605,18 +637,23 @@ def test_trial_record_matches_per_combo_kernels(combos, branch, monkeypatch):
         rng.choice(N + 1, size=30, replace=False).tolist())]
     if branch == "enumerate":
         sets = sets[1:]  # a dense enumeration would hold |A|^h sums
-    probes = _probes(N, combos[0])
+    probes = _probes(N, SignedCombination(2, 0))
     buffers = FoldBuffers()
     for A in sets:
         with monkeypatch.context() as patch:
             if branch is not None:
                 patch.setattr(sumset, "kernel_branch", lambda N, h, size: branch)
-            record = _trial_record(A, combos, probes, buffers)
-            assert record == _per_set_record(A, combos, probes, gen_sumset)
+            record = _trial_record(A, combos, buffers)
+            assert record == _per_set_record(A, combos, gen_sumset)
+            mask = _missing_sums(A.elements, N, probes)
+            assert mask == _missing_mask(A, probes, gen_sumset)
         if A.size**max(combo.h for combo in combos) <= 10**6:
-            assert record == _per_set_record(A, combos, probes, gen_sumset_naive)
+            assert record == _per_set_record(A, combos, gen_sumset_naive)
+        if A.size**2 <= 10**6:
+            assert mask == _missing_mask(A, probes)
         if A.size == 0:
-            assert record == (0,) * (1 + len(combos)) + ((1 << len(probes)) - 1,)
+            assert record == (0,) * (1 + len(combos))
+            assert mask == (1 << len(probes)) - 1
 
 
 def test_trial_record_folds_each_shared_prefix_once(monkeypatch):
@@ -626,11 +663,11 @@ def test_trial_record_folds_each_shared_prefix_once(monkeypatch):
     A = _set([0, N, *range(1, 3000, 7)], N)
     combos = _combos((2, 2), (3, 1), (4, 0))
     folds = _spy_folds(monkeypatch)
-    record = _trial_record(A, combos, (), FoldBuffers())
+    record = _trial_record(A, combos, FoldBuffers())
     monkeypatch.undo()
     assert [sumset.kernel_branch(N, 4, A.size)] == ["bytes"]
     assert len(folds) == 6
-    assert record == _per_set_record(A, combos, (), gen_sumset)
+    assert record == _per_set_record(A, combos, gen_sumset)
 
 
 def test_trial_record_allocates_no_output_vector_after_its_first_call():
@@ -644,9 +681,9 @@ def test_trial_record_allocates_no_output_vector_after_its_first_call():
     assert {sumset.kernel_branch(N, 3, A.size) for A in (first, second)} == {"bytes"}
     vector = (3 * N + 8) // 8
     buffers = FoldBuffers()
-    _trial_record(first, combos, (), buffers)
-    assert peak_traced_bytes(lambda: _trial_record(second, combos, (), buffers)) < vector
-    assert peak_traced_bytes(lambda: _trial_record(second, combos, (), FoldBuffers())) > vector
+    _trial_record(first, combos, buffers)
+    assert peak_traced_bytes(lambda: _trial_record(second, combos, buffers)) < vector
+    assert peak_traced_bytes(lambda: _trial_record(second, combos, FoldBuffers())) > vector
 
 
 def _pipelined_records(monkeypatch, helpers_fail=False):
@@ -687,8 +724,9 @@ def test_pipelined_records_leave_no_helper_behind(monkeypatch):
     # one, the helpers have ended; the records are the one-thread ones.
     before = threading.active_count()
     records, params, combos, trials = _pipelined_records(monkeypatch)
-    expected = [_trial_record(sample_set(replace(params, trial_index=t)), combos, (0, 5),
-                              FoldBuffers()) for t in trials]
+    sets = [sample_set(replace(params, trial_index=t)) for t in trials]
+    expected = [(*_trial_record(A, combos, FoldBuffers()), _missing_mask(A, (0, 5)))
+                for A in sets]
     assert list(records) == expected
     assert threading.active_count() == before
     records, *_ = _pipelined_records(monkeypatch)
