@@ -19,7 +19,9 @@ the same way, and so does the battery: each `scripts/configs` config is
 one `scripts/run_regimes.py --check --workers 1 --only STEM` run, timed
 from its start to its exit, which also says whether its report is
 byte-identical to that side's `results/`.  Each config also runs once a
-side at `--workers 2`, recorded the same way.
+side at `--workers 2`, recorded the same way.  The file is written after
+each of these three stages (workloads, tier-1, battery), so a stage that
+fails leaves the results of those before it.
 
 Every child runs in its own session (`run_child`).  A SIGTERM or Ctrl-C kills
 the running child's whole process group, `perfbench/run.py`'s workers
@@ -231,21 +233,38 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, _stop)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as workdir:
         os.environ["TMPDIR"] = workdir  # what a killed child leaves goes with it
-        result = compare(args, {side: checkout(rev, Path(workdir) / side)
-                                for side, rev in (("base", args.base), ("change", args.change))})
-    out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
+        compare(args, {side: checkout(rev, Path(workdir) / side)
+                       for side, rev in (("base", args.base), ("change", args.change))})
     return 0
 
 
 def compare(args: argparse.Namespace, sides: dict[str, Path]) -> dict:
-    """The file's contents: the pairs of every workload, then tier-1's and the
-    battery's pairs."""
+    """Run the pairs of every workload, then tier-1's and the battery's, and
+    return the file's contents.
+
+    BENCH_<pr>.json is written after each of the three stages, so a stage
+    that fails leaves the stages before it in the file.
+    """
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    result = {"pr": args.pr, "base": args.base, "change": args.change,
+              "command": spec["command"] + ["--seconds", str(spec["run_seconds"])],
+              "machine": machine()}
+    out = ROOT / f"BENCH_{args.pr}.json"
+    for stage, run in (("workloads", lambda: workload_pairs(sides, spec)),
+                       ("tier1", lambda: tier1_pairs(sides)),
+                       ("battery", lambda: battery_pairs(sides))):
+        result[stage] = run()
+        out.write_text(json.dumps(result, indent=1) + "\n")
+        print(f"wrote {stage} to {out}", file=sys.stderr)
+    return result
+
+
+def workload_pairs(sides: dict[str, Path], spec: dict) -> dict:
+    """Per workload of spec, each side's PAIRS runs alternating with the other
+    side's: failed and attempted operations, correctness, and per end-to-end
+    metric each side's spread and the change's wins."""
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
         runs: dict[str, list[dict]] = {"base": [], "change": []}
@@ -268,11 +287,7 @@ def compare(args: argparse.Namespace, sides: dict[str, Path]) -> dict:
                                       "change": spread(values["change"]),
                                       "change_wins": wins, "pairs": PAIRS}
         workloads[workload] = entry
-
-    return {"pr": args.pr, "base": args.base, "change": args.change,
-            "command": spec["command"] + ["--seconds", str(seconds)],
-            "machine": machine(), "workloads": workloads,
-            "tier1": tier1_pairs(sides), "battery": battery_pairs(sides)}
+    return workloads
 
 
 if __name__ == "__main__":

@@ -18,26 +18,22 @@ all three give the same sumset.
   2.4.6, h = 2 and 3, p from 0.001 to 1/2): the byte fold ran at 0.5-1.0x
   the big-int fold's speed at N = 2^14, at 1.0-2.3x at 2^15 and at
   1.8-3.0x at 2^16, and at N = 10^6 it is 1.7x (|A| ~ 12) to 8-10x
-  (|A| ~ 15.8k) faster.  A shift ORs only into the windows of the output
-  that may still hold a zero bit, at first the whole output.  A fold that
-  expects at least _WINDOW_MIN_COVERS = 32 covers per output bit, bounded
-  from integers known before it (|A| shifts of a j-fold sum that holds at
-  most min(|A|^j, jN + 1) of its jN + 1 values), narrows them whenever its
-  ORs since the last narrowing reach 32 times their size: whole 16 KB
-  blocks of ones are cut out, and each part is trimmed to the bytes below
-  0xFF at its ends.  That is exact, since OR never clears a bit.  The
-  ends of a sumset stay sparse, so the gate also asks for an output longer
-  than two blocks, which holds a whole block that touches neither end; a
-  shorter one (N = 2^15, or 10^5 at h = 2) would pay the narrowings and
-  never narrow.  A
+  (|A| ~ 15.8k) faster.  Each byte fold is an _edge_fold: for ascending
+  shifts B and K = ceil(_EDGE_COVERS * span(B) / |B|), _EDGE_COVERS = 14
+  (ROADMAP.md lists the values tried), it ORs only the K lowest and K
+  highest shifts, which decide the output's two end windows, and _sieve
+  tests each zero bit left between them against the middle shifts.  A
   slow-decay sumset misses values only near its ends, so at N = 10^6 and
-  p = N^(-3/10) (|A| ~ 15.9k, about 250 covers) a fold ORs 0.17-0.24 GB,
-  not 2.0 GB, and takes 35-53 ms, not 117-132 ms, in a fresh process (2
-  cores, numpy 2.4.6).  Critical-decay folds (|A| ~ 200 at N = 10^6, at
-  most 4 covers) stay below the gate and OR every whole copy: their
-  sumsets have gaps all over and never fill a block.  A plain fold ORs each
-  whole copy with no window bookkeeping, which cost 0.3-1 ms of a 3-4 ms
-  fold of |A| ~ 200 shifts.
+  p = N^(-3/10) (|A| ~ 15.8k, K ~ 880) a fold ORs 1.76k shifts, not
+  15.8k, and sieves 0-17 values: a set's two folds took 24-30 ms, against
+  52-86 ms when the ORs were limited to windows narrowed as they filled
+  (warm process, 2 cores, numpy 2.4.6).  When more than one byte per
+  _SIEVE_BYTES = 64 of the input stays open between the end windows, as
+  a set with gaps all over leaves, the middle shifts are ORed instead: a
+  value whose search spans the whole middle took 59 us to sieve, and the
+  middle of a slow_h2 fold 86 ms, about 1,460 such values (and 2,000
+  open bytes).  A short B, |B| <= 2K, is folded whole with no scan of the
+  input: critical-decay folds (|A| ~ 200 at N = 10^6, K ~ 70,000) are.
 - From 2^15 up, while 17|A|^h <= (4h - 3)N/8 ("enumerate"), the sums are
   enumerated instead: each fold takes the outer sum of the distinct values
   so far with the sorted elements (or their reflection), sorts it and
@@ -88,7 +84,8 @@ share a prefix fold it once: (2,1) and (3,0) share A + A.  Byte folds write
 into a FoldBuffers: the vector at depth j, a (j + 1)-fold sum, takes
 (j + 1)(N // 8 + 1) bytes whatever A, and two word copies of the deepest
 input take about as much again, so records, which keeps one FoldBuffers
-for all its trials, allocates during the first trial only.  At N = 10^6,
+for all its trials, allocates during the first trial only, but for the
+reflection of A, which grows with the largest |A| so far.  At N = 10^6,
 h = 3 and |A| ~ 200 that is about 1.25 MB, and the record's sumsets took
 6.9 ms a trial in one warm process, against 10 ms for gen_sumset called
 combo by combo (2 cores, numpy 2.4.6).
@@ -126,12 +123,10 @@ from .sampling import SampledSet, SampleParameters, sample_members, sample_sets,
 DEFAULT_BIT_BUDGET = 10**9
 BYTE_FOLD_MIN_N = 1 << 15
 BIT_SLICE_MAX_N = 512
-_ALL_SETS = (1 << 64) - 1
 _FOLD_BYTES = 1 << 17  # bound on the term buffer of one _fold_words block
-_POPCOUNT_WORDS = 1 << 13  # 64 KB of words per block of _popcount
-_WINDOW_BLOCK = 1 << 14  # bytes per block that a narrowing tests for all ones
-_WINDOW_REFRESH = 32  # bytes a windowed fold ORs per window byte between two narrowings
-_WINDOW_MIN_COVERS = 32  # expected covers of an output bit from which a fold is windowed
+_BLOCK_WORDS = 1 << 13  # 64 KB of words per block of _popcount; gathers per block of _sieve
+_EDGE_COVERS = 14  # K * |B| / span(B), for the K shifts an _edge_fold ORs at each end of B
+_SIEVE_BYTES = 64  # bytes of acc per byte left open, above which _edge_fold folds the middle
 _M1, _M2, _M4, _H01 = (np.uint64(0x0101010101010101 * m) for m in (0x55, 0x33, 0x0F, 1))
 _CSV_ROWS = 1 << 16  # membership rows that write_membership_csv formats at once
 # Up to BIT_SLICE_MAX_N, records folds a batch of whole 64-set words, sized
@@ -225,42 +220,14 @@ def _shift_or(bits: int, shifts: list[int]) -> int:
     return out
 
 
-def _open_windows(out: np.ndarray, windows: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The parts of the byte windows [lo, hi) of out that still hold a zero bit.
-
-    A window loses each whole _WINDOW_BLOCK block of out that is all ones,
-    found by one uint64 compare over its blocks.  Each part left is trimmed
-    to its first byte below 0xFF, and to its last one when that lies in its
-    last block (else the part keeps its end, which is as exact).
-    """
-    size = _WINDOW_BLOCK
-    blocks = out[: out.size - out.size % size].view("<u8").reshape(-1, size // 8)
-    parts = []
-    for lo, hi in windows:
-        first = lo // size
-        full = (blocks[first : (hi - 1) // size + 1] == _ALL_SETS).all(axis=1)
-        for k in (first + np.flatnonzero(full)).tolist():
-            if lo < k * size:
-                parts.append((lo, k * size))
-            lo = max(lo, (k + 1) * size)
-        if lo < hi:
-            parts.append((lo, hi))
-    kept = []
-    for lo, hi in parts:
-        zero = out[lo:hi] != 0xFF
-        i = int(zero.argmax())
-        if zero[i]:  # an argmax over a reversed view reads all of it: take the last block
-            kept.append((lo + i, hi - int(zero[-size:][::-1].argmax())))
-    return kept
-
-
 class FoldBuffers:
     """Arrays that byte folds write into, kept from one call to the next.
 
     Each array is made on its first use, or when a fold needs it larger, and
     reused by every later fold given the same buffers.  _walk asks for sizes
     that depend only on N and the fold's depth, so the trials of one N
-    allocate them during the first trial only.
+    allocate them during the first trial only, but for the reflection of A,
+    whose |A| entries are made again when a set is the largest so far.
     """
 
     def __init__(self):
@@ -274,78 +241,108 @@ class FoldBuffers:
         return array[:size]
 
 
-def _shift_or_bytes(acc: np.ndarray, shifts: list[int], windowed: bool = False,
-                    out: np.ndarray | None = None,
-                    buffers: FoldBuffers | None = None) -> np.ndarray:
-    """_shift_or on a vector packed as little-endian bytes (numpy uint8).
+def _shift_or_bytes(acc: np.ndarray, shifts: np.ndarray, out: np.ndarray,
+                    buffers: FoldBuffers) -> np.ndarray:
+    """OR _shift_or of a vector packed as little-endian bytes (numpy uint8) into out.
 
     Shifts are grouped by e & 7.  For each residue r in use, the copy of acc
     shifted by r bits is built once, word-wise, and shift e ORs it in place
     at byte offset e >> 3, so no shift allocates and one copy is alive at a
-    time.  The result is written into out, which must hold at least
-    acc.size + (max(shifts) >> 3) + 1 bytes and is zeroed first (by default
-    a fresh array of that size); the word copies go into buffers.  A plain
-    fold ORs each whole copy.  A windowed one ORs each only into its overlap
-    with the windows of the output that may still hold a zero bit, at first
-    the whole output, and _open_windows narrows them each time the ORs since
-    the last narrowing reach _WINDOW_REFRESH times their size: a byte that
-    is 0xFF cannot change under OR.  The top bit of the output is never
-    set, so a window always remains.
+    time.  out must hold at least acc.size + (max(shifts) >> 3) + 1 bytes;
+    the word copies go into buffers.
     """
     n = acc.size
-    if out is None:
-        out = np.empty(n + (max(shifts) >> 3) + 1, dtype=np.uint8)
-    buffers = buffers or FoldBuffers()
     base = buffers.take("base", (n + 8) // 8, "<u8")  # n + 1 bytes: room for 7 more bits
     base[-1] = 0
     base.view(np.uint8)[:n] = acc
     row = buffers.take("row", base.size, "<u8")
     copy = row.view(np.uint8)[: n + 1]
-    offsets = [[] for _ in range(8)]
-    for e in shifts:
-        offsets[e & 7].append(e >> 3)
-    out.fill(0)
-    windows = [(0, out.size)]
-    ored, due = 0, _WINDOW_REFRESH * out.size
-    for r, starts in enumerate(offsets):
-        if not starts:
+    for r in range(8):
+        starts = shifts[(shifts & 7) == r] >> 3
+        if not starts.size:
             continue
         np.left_shift(base, r, out=row)
         if r:
             row[1:] |= base[:-1] >> (64 - r)
-        if not windowed:
-            for b in starts:
-                view = out[b : b + n + 1]
-                np.bitwise_or(view, copy, out=view)
-            continue
-        for b in starts:
-            end = b + n + 1
-            for lo, hi in windows:
-                if lo < end and b < hi:
-                    lo, hi = max(lo, b), min(hi, end)
-                    view = out[lo:hi]
-                    np.bitwise_or(view, copy[lo - b : hi - b], out=view)
-                    ored += hi - lo
-            if ored > due:
-                windows = _open_windows(out, windows)
-                ored, due = 0, _WINDOW_REFRESH * sum(hi - lo for lo, hi in windows)
+        for b in starts.tolist():
+            view = out[b : b + n + 1]
+            np.bitwise_or(view, copy, out=view)
+    return out
+
+
+def _sieve(acc: np.ndarray, shifts: np.ndarray, offsets: np.ndarray, lo: int,
+           hi: int) -> list[int]:
+    """The offsets n for which some b of shifts has bit n - b set in acc.
+
+    The set bits of acc lie in [lo, hi], so n gathers the bits n - b only
+    for the b that keep them there, found by binary search, _BLOCK_WORDS
+    at a time, and stops at the first set one.
+    """
+    found = []
+    for n in offsets.tolist():
+        start, stop = np.searchsorted(shifts, (n - hi, n - lo + 1)).tolist()
+        for block in range(start, stop, _BLOCK_WORDS):
+            bits = n - shifts[block : min(block + _BLOCK_WORDS, stop)]
+            masks = np.bitwise_and(bits, 7, out=np.empty(bits.size, dtype=np.uint8),
+                                   casting="unsafe")
+            np.left_shift(1, masks, out=masks)
+            bits >>= 3
+            if (acc[bits] & masks).any():
+                found.append(n)
+                break
+    return found
+
+
+def _edge_fold(acc: np.ndarray, shifts: np.ndarray, out: np.ndarray,
+               buffers: FoldBuffers) -> np.ndarray:
+    """_shift_or_bytes into out, zeroed first, for ascending int64 shifts B.
+
+    Let S be the set acc holds and K = ceil(_EDGE_COVERS * span(B) / |B|).
+    The K lowest and K highest shifts decide every n < min S + B[K] and
+    every n > max S + B[-K-1], since any other shift lands between those
+    bounds, so only they are folded.  A zero bit n between the bounds is
+    then set iff some middle shift b has bit n - b set in acc, which
+    _sieve checks.  When the bytes still open there, below 0xFF, exceed one
+    per _SIEVE_BYTES bytes of acc (a set with gaps all over), the middle
+    shifts are folded instead; and a short B, |B| <= 2K, is folded whole.
+    """
+    out.fill(0)
+    size = shifts.size
+    k = -(-_EDGE_COVERS * int(shifts[-1] - shifts[0] + 1) // size) if size else 0
+    if size <= 2 * k:
+        return _shift_or_bytes(acc, shifts, out, buffers)
+    _shift_or_bytes(acc, np.concatenate((shifts[:k], shifts[-k:])), out, buffers)
+    held = np.not_equal(acc, 0, out=buffers.take("held", acc.size, bool))
+    lo = 8 * int(held.argmax())  # S lies in [lo, hi]
+    hi = 8 * (acc.size - int(held[::-1].argmax())) - 1
+    first, last = (lo + int(shifts[k])) >> 3, (hi + int(shifts[-k - 1])) >> 3
+    opened, count, block = [], 0, 8 * _BLOCK_WORDS  # the bytes of out between the bounds
+    for start in range(first, last + 1, block):
+        opened.append(start + np.flatnonzero(out[start : min(start + block, last + 1)] != 0xFF))
+        count += opened[-1].size
+        if _SIEVE_BYTES * count > acc.size:
+            return _shift_or_bytes(acc, shifts[k:-k], out, buffers)
+    opened = np.concatenate(opened)
+    zeros = np.flatnonzero(np.unpackbits(out[opened], bitorder="little") == 0)
+    for n in _sieve(acc, shifts[k:-k], 8 * opened[zeros >> 3] + (zeros & 7), lo, hi):
+        out[n >> 3] |= 1 << (n & 7)
     return out
 
 
 def _popcount(packed: np.ndarray) -> int:
     """Set bits of packed bytes, by a SWAR count over little-endian words.
 
-    The words are taken _POPCOUNT_WORDS at a time, so the temporaries stay
+    The words are taken _BLOCK_WORDS at a time, so the temporaries stay
     at 64 KB each, and the last size % 8 bytes go through int.bit_count.
     Only numpy 1.22 APIs: no np.bitwise_count.
     """
     whole = packed.size - packed.size % 8
     words = packed[:whole].view("<u8")
     total = int.from_bytes(packed[whole:].tobytes(), "little").bit_count()
-    for lo in range(0, words.size, _POPCOUNT_WORDS):
-        x = words[lo : lo + _POPCOUNT_WORDS]
+    for lo in range(0, words.size, _BLOCK_WORDS):
+        x = words[lo : lo + _BLOCK_WORDS]
         x = x - ((x >> 1) & _M1)
-        x = (x & _M2) + ((x >> 2) & _M2)
+        x = (x >> 2 & _M2) + np.bitwise_and(x, _M2, out=x)  # in place: 3 temporaries at most
         x = (x + (x >> 4)) & _M4
         total += int(((x * _H01) >> 56).sum())
     return total
@@ -402,7 +399,9 @@ def _walk(A: SampledSet, combos, buffers: FoldBuffers):
     offsets n + dN in an ascending int64 array, or packed bytes over the
     offsets, whose vector at depth j lives in buffers, (j + 1)(N // 8 + 1)
     bytes long, and is overwritten by the walk's next fold at that depth:
-    read each sum before the walk goes on.
+    read each sum before the walk goes on.  Every byte fold is an
+    _edge_fold, whose shifts, A or its reflection (kept in buffers), are
+    int64 arrays.
     """
     N, size = A.N, A.size
     order = sorted((kernel_branch(N, combo.h, size), "+" * (combo.s - 1) + "-" * combo.d, i)
@@ -411,13 +410,14 @@ def _walk(A: SampledSet, combos, buffers: FoldBuffers):
     for kernel, signs, i in order:
         if kernel != branch:
             branch, path = kernel, ""
-            if branch == "enumerate":
-                sums = [A.elements]
-                bases = {"+": A.elements, "-": N - A.elements[::-1]}
-            else:
+            if branch == "int":
                 elements = A.elements.tolist()
                 bases = {"+": elements, "-": [N - a for a in reversed(elements)]}
-                sums = [A.bitmask() if branch == "int"
+                sums = [A.bitmask()]
+            else:
+                reflection = buffers.take("-", A.size, np.int64)
+                bases = {"+": A.elements, "-": np.subtract(N, A.elements[::-1], out=reflection)}
+                sums = [A.elements if branch == "enumerate"
                         else scatter_bits(A.elements.copy(), buffers.take(0, N // 8 + 1))]
         del sums[len(os.path.commonprefix([path, signs])) + 1 :]
         for j in range(len(sums), len(signs) + 1):
@@ -427,16 +427,8 @@ def _walk(A: SampledSet, combos, buffers: FoldBuffers):
             elif branch == "enumerate":
                 sums.append(_enumerated_sums(sums[-1], shifts))
             else:
-                # |shifts| copies of a j-fold sum that holds at most min(|A|^j, jN + 1)
-                # of its jN + 1 values: the expected covers of an output bit, bounded.
-                # The ends of a sumset stay sparse, so only a whole block that
-                # touches neither end of the output can fill and be cut out; the
-                # first, [_WINDOW_BLOCK, 2 * _WINDOW_BLOCK), needs more than two.
-                values = j * N + 1
                 out = buffers.take(j, (j + 1) * (N // 8 + 1))
-                windowed = (out.size > 2 * _WINDOW_BLOCK and len(shifts) * min(size**j, values)
-                            >= _WINDOW_MIN_COVERS * values)
-                sums.append(_shift_or_bytes(sums[-1], shifts, windowed, out, buffers))
+                sums.append(_edge_fold(sums[-1], shifts, out, buffers))
         path = signs
         yield i, branch, sums[-1]
 

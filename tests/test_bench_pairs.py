@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import subprocess
@@ -5,6 +6,8 @@ import sys
 import textwrap
 import time
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -44,3 +47,46 @@ def test_a_stopped_comparison_leaves_no_child_and_no_copy_behind(tmp_path):
     else:
         raise AssertionError(f"the child {pid} is still running")
     assert list(tmp_path.glob("bench_pairs_*")) == []
+
+
+def test_a_failing_stage_leaves_the_earlier_stages_in_the_file(tmp_path, monkeypatch):
+    # The comparison runs in this process, every child stubbed out, so it
+    # starts no process.  Its battery stage raises after the workload and
+    # tier-1 stages, whose results must be in BENCH_0.json.
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    spec = {"command": ["perfbench"], "run_seconds": 1, "workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "m", "unit": "s", "better": "lower"}]}
+
+    def checkout(rev, into):
+        into.mkdir(parents=True)
+        (into / "BENCHMARK.json").write_text(json.dumps(spec))
+        return into
+
+    def bench(side, workload, seconds, metrics, where):
+        value = 2.0 if side.name == "base" else 1.0
+        return {"failed": 0, "attempted": 3, "correct": True, "metrics": {"m": {"value": value}}}
+
+    def tier1(side):
+        return {"wall_s": 5.0, "passed": 7, "failed": 0, "failures": [],
+                "summary": "7 passed", "durations_s": {"test_x": 0.5}}
+
+    def battery_pairs(sides):
+        raise RuntimeError("battery stage failed")
+
+    for name, stub in (("ROOT", tmp_path), ("checkout", checkout), ("bench", bench),
+                       ("tier1", tier1), ("battery_pairs", battery_pairs),
+                       ("machine", lambda: {"nproc": 1})):
+        monkeypatch.setattr(bench_pairs, name, stub)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda signum, handler: None)
+    monkeypatch.setenv("TMPDIR", str(tmp_path))  # main repoints it; restored afterwards
+    with pytest.raises(RuntimeError, match="battery stage failed"):
+        bench_pairs.main(["--base", "HEAD~1", "--pr", "0"])
+    result = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert list(result) == ["pr", "base", "change", "command", "machine", "workloads", "tier1"]
+    metric = result["workloads"]["w"]["metrics"]["m"]
+    assert metric["base"]["runs"] == [2.0] * bench_pairs.PAIRS
+    assert metric["change_wins"] == bench_pairs.PAIRS
+    assert result["tier1"]["change"]["median_wall_s"] == 5.0
+    assert result["tier1"]["base"]["median_durations_s"] == {"test_x": 0.5}

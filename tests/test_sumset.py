@@ -1,8 +1,10 @@
 import io
+import math
 import threading
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -25,15 +27,17 @@ from gensumset import (
 from gensumset import sampling, sumset
 from gensumset.sampling import sample_members, substream
 from gensumset.sumset import (
-    _POPCOUNT_WORDS,
+    _BLOCK_WORDS,
     BIT_SLICE_MAX_N,
     BYTE_FOLD_MIN_N,
     _batch_records,
+    _edge_fold,
     _enumerated_sums,
     _missing_sums,
     _popcount,
     _shift_or,
     _shift_or_bytes,
+    _sieve,
     _trial_record,
     FoldBuffers,
 )
@@ -256,19 +260,153 @@ def test_kernel_matches_naive_hypothesis(elements, combo):
 @settings(max_examples=150, deadline=None)
 def test_byte_fold_matches_big_int_fold(length, data):
     # Vectors whose bit length is not a whole number of bytes, and shift
-    # lists that hit every residue mod 8.  Windowed folds get one-word
-    # blocks and frequent narrowings, so short vectors cut and trim windows;
-    # all-ones vectors fill bytes at once.
+    # lists that hit every residue mod 8; all-ones vectors fill bytes at
+    # once.  The fold ORs into what out holds.
     top = 1 << (length - 1)
     bits = data.draw(st.one_of(st.integers(0, top - 1), st.just(top - 1))) | top
     shifts = [8 * data.draw(st.integers(0, 40)) + r for r in range(8)]
     shifts += data.draw(st.lists(st.integers(0, 330), max_size=12))
-    shifts = data.draw(st.permutations(shifts))
+    shifts = np.array(data.draw(st.permutations(shifts)))
     packed = np.frombuffer(bits.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
-    with patch.object(sumset, "_WINDOW_BLOCK", 8), \
-            patch.object(sumset, "_WINDOW_REFRESH", data.draw(st.sampled_from([0, 1, 4]))):
-        folded = _shift_or_bytes(packed, shifts, data.draw(st.booleans()))
-    assert int.from_bytes(folded.tobytes(), "little") == _shift_or(bits, shifts)
+    size = packed.size + (int(shifts.max()) >> 3) + 1
+    held = data.draw(st.integers(0, (1 << 8 * size) - 1))
+    out = np.frombuffer(held.to_bytes(size, "little"), dtype=np.uint8).copy()
+    folded = _shift_or_bytes(packed, shifts, out, FoldBuffers())
+    assert int.from_bytes(folded.tobytes(), "little") == _shift_or(bits, shifts.tolist()) | held
+
+
+class _CountingNumpy:
+    """numpy as the sumset module sees it, counting the bytes bitwise_or writes."""
+
+    def __init__(self):
+        self.or_bytes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bitwise_or(self, *args, out):
+        self.or_bytes += out.nbytes
+        return np.bitwise_or(*args, out=out)
+
+
+def _spy_folds(monkeypatch, check_plain=False):
+    """Patch in counters; each _edge_fold call appends a record of itself.
+
+    A record holds the fold's shifts; in calls, the shifts of each
+    _shift_or_bytes call it makes and ("sieve", shifts) for a _sieve call,
+    in order; the number of values it sieves (sieved, None if it does not);
+    the bytes it ORs (ored) and those a whole fold ORs (plain).  With
+    check_plain, each fold is also run whole, after its bytes are counted,
+    and must give the same output.
+    """
+    counter, folds = _CountingNumpy(), []
+
+    def fold(acc, shifts, out, buffers):
+        record = SimpleNamespace(shifts=shifts.tolist(), calls=[], sieved=None,
+                                 ored=counter.or_bytes, plain=len(shifts) * (acc.size + 1))
+        folds.append(record)
+        out = _edge_fold(acc, shifts, out, buffers)
+        record.ored = counter.or_bytes - record.ored
+        if check_plain:
+            plain = _shift_or_bytes(acc, shifts, np.zeros_like(out), FoldBuffers())
+            assert np.array_equal(plain, out) and _popcount(plain) == _popcount(out)
+        return out
+
+    def shift_or(acc, shifts, out, buffers):
+        folds[-1].calls.append(shifts.tolist())
+        return _shift_or_bytes(acc, shifts, out, buffers)
+
+    def sieve(acc, shifts, offsets, lo, hi):
+        folds[-1].calls.append(("sieve", shifts.tolist()))
+        folds[-1].sieved = offsets.size
+        return _sieve(acc, shifts, offsets, lo, hi)
+
+    monkeypatch.setattr(sumset, "np", counter)
+    monkeypatch.setattr(sumset, "_edge_fold", fold)
+    monkeypatch.setattr(sumset, "_shift_or_bytes", shift_or)
+    monkeypatch.setattr(sumset, "_sieve", sieve)
+    return folds
+
+
+def _edge_count(span, size, covers=14):
+    # K of the sumset module docstring, written out independently.
+    return math.ceil(Fraction(covers * span, size))
+
+
+def _check_paths(fold, covers=14):
+    """The calls of one _edge_fold follow the documented rule; its path.
+
+    "plain": B folded whole; "middle": its ends, then its middle folded;
+    "sieve": its ends, then its middle sieved.
+    """
+    shifts, calls = fold.shifts, fold.calls
+    if not shifts or len(shifts) <= 2 * _edge_count(shifts[-1] - shifts[0] + 1,
+                                                    len(shifts), covers):
+        assert calls == [shifts]
+        return "plain"
+    k = _edge_count(shifts[-1] - shifts[0] + 1, len(shifts), covers)
+    assert calls[0] == shifts[:k] + shifts[-k:]
+    assert calls[1:] in ([shifts[k:-k]], [("sieve", shifts[k:-k])])
+    return "middle" if calls[1:] == [shifts[k:-k]] else "sieve"
+
+
+def _sparse_members(data, gap, min_size, max_size):
+    # The positions of the zeros in a drawn list of integers in [0, gap).
+    return np.flatnonzero(np.array(data.draw(st.lists(st.integers(0, gap - 1), min_size=min_size,
+                                                      max_size=max_size)), dtype=np.int64) == 0)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_edge_fold_matches_big_int_fold(data):
+    # A short vector and shifts of drawn sparsity, with the constants
+    # patched low enough that a fold takes any of its paths: whole when
+    # |B| <= 2K, else its ends and then the sieve (always with
+    # _SIEVE_BYTES = 0) or the middle shifts.  out starts with stale bytes,
+    # which the fold clears.
+    elements = _sparse_members(data, data.draw(st.sampled_from([1, 4, 16, 64])), 1, 300)
+    bits = sum(1 << int(e) for e in elements)
+    shifts = _sparse_members(data, data.draw(st.sampled_from([1, 2, 4])), 8, 330)
+    covers = data.draw(st.sampled_from([1, 2, 3, 14]))
+    share = data.draw(st.sampled_from([0, 1, 64, 10**6]))
+    packed = np.frombuffer(bits.to_bytes(bits.bit_length() // 8 + 1, "little"), dtype=np.uint8)
+    out = np.full(packed.size + (max(shifts, default=0) >> 3) + 1, 0xA5, dtype=np.uint8)
+    with patch.object(sumset, "_EDGE_COVERS", covers), \
+            patch.object(sumset, "_SIEVE_BYTES", share), \
+            patch.object(sumset, "_BLOCK_WORDS", data.draw(st.sampled_from([1, 3, 1 << 13]))):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            folds = _spy_folds(monkeypatch)
+            folded = sumset._edge_fold(packed, shifts, out, FoldBuffers())
+    assert folded is out
+    assert int.from_bytes(folded.tobytes(), "little") == _shift_or(bits, shifts.tolist())
+    path = _check_paths(folds[0], covers)
+    assert share or path != "middle"
+
+
+@pytest.mark.parametrize(
+    "name, elements, paths",
+    [
+        # Every odd value is missing from A + A: the middle is folded.
+        ("evens", range(0, BYTE_FOLD_MIN_N + 1, 2), ["middle"]),
+        # Full sumsets: the sieve gets nothing.
+        ("evens with 1 and N - 1", [*range(0, BYTE_FOLD_MIN_N + 1, 2), 1, BYTE_FOLD_MIN_N - 1],
+         ["sieve"]),
+        # A gap of N / 4 values in the middle of A + A: the middle is folded.
+        ("two quarters", [*range(0, BYTE_FOLD_MIN_N // 4),
+                          *range(3 * BYTE_FOLD_MIN_N // 4, BYTE_FOLD_MIN_N + 1)], ["middle"]),
+    ],
+)
+def test_edge_fold_paths_on_structured_sets(name, elements, paths, monkeypatch):
+    # Sets with structure that a random set lacks, against the big-int fold.
+    N = BYTE_FOLD_MIN_N
+    A = _set(elements, N)
+    for combo in _combos((2, 0), (1, 1), (2, 1)):
+        expected = _forced("int", A, combo, monkeypatch)
+        folds = _spy_folds(monkeypatch)
+        result = gen_sumset(A, combo)
+        monkeypatch.undo()
+        assert result == expected, name
+        assert [_check_paths(fold) for fold in folds] == paths * (combo.h - 1)
 
 
 def _documented_branch(N, h, size):
@@ -339,50 +477,11 @@ def test_enumeration_equals_naive_and_byte_fold(N, monkeypatch):
             assert enumerated.packed.size == (combo.h * N + 8) // 8
 
 
-class _CountingNumpy:
-    """numpy as the sumset module sees it, counting the bytes bitwise_or writes."""
-
-    def __init__(self):
-        self.or_bytes = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def bitwise_or(self, *args, out):
-        self.or_bytes += out.nbytes
-        return np.bitwise_or(*args, out=out)
-
-
-def _spy_folds(monkeypatch, other_side=False):
-    """Patch in counters; each byte fold appends (windowed, bytes ORed, plain bytes).
-
-    With other_side, each fold is also run on the other side of the window
-    gate, after its bytes are counted, and must give the same output.
-    """
-    counter, folds = _CountingNumpy(), []
-
-    def spy(acc, shifts, windowed=False, *buffers):
-        before = counter.or_bytes
-        out = _shift_or_bytes(acc, shifts, windowed, *buffers)
-        folds.append((windowed, counter.or_bytes - before, len(shifts) * (acc.size + 1)))
-        if other_side:
-            other = _shift_or_bytes(acc, shifts, not windowed, np.empty_like(out))
-            assert np.array_equal(other, out) and _popcount(other) == _popcount(out)
-        return out
-
-    monkeypatch.setattr(sumset, "np", counter)
-    monkeypatch.setattr(sumset, "_shift_or_bytes", spy)
-    return folds
-
-
-def _documented_gate(N, size, combo):
-    # The window gate of the sumset module docstring, written out
-    # independently: fold j adds |A| shifted copies to the j-fold partial
-    # sum, and is windowed when |A| * min(1, |A|^j / (jN + 1)) >= 32 and its
-    # output of (j + 1)(N // 8 + 1) bytes holds a whole 16 KB block that
-    # touches neither end, which takes more than two blocks.
-    return [size * min(1, Fraction(size**j, j * N + 1)) >= 32
-            and (j + 1) * (N // 8 + 1) > 2 * 2**14 for j in range(1, combo.h)]
+def _documented_gate(N, size):
+    # The gate of the sumset module docstring, written out independently:
+    # shifts B that span [0, N], as A and its reflection do when A holds 0
+    # and N, fold whole when |B| <= 2K, K = ceil(14 (N + 1) / |B|).
+    return size > 2 * _edge_count(N + 1, size)
 
 
 def _combos(*pairs):
@@ -401,24 +500,23 @@ def _combos(*pairs):
 )
 @pytest.mark.parametrize("N", [BYTE_FOLD_MIN_N, BYTE_FOLD_MIN_N + 1, 10**5])
 def test_windowed_fold_equals_big_int_fold_on_dense_sets(N, p, combos, monkeypatch):
-    # Dense sets holding 0 and N: every fold expects the covers of a
-    # windowed one and fills its middle, but only an output with a whole
-    # block away from both ends is windowed.  At N = 2^15 none is, and at
-    # N = 10^5 each fold but the first (for h = 2, none); every fold gives
-    # the bytes, so the cardinality, of the other side of the gate.  At
-    # N = 10^5 only the first combo runs, to keep the big-int oracle
-    # affordable.
+    # Dense sets holding 0 and N: every fold has |B| > 2K, so it ORs its
+    # shifts near the two ends (the windows the ends decide) and sieves
+    # the middle, which such a sumset fills but for a few values.  Every
+    # fold gives the bytes of the whole fold, and the result the big-int
+    # fold's.  At N = 10^5 only the first combo runs, to keep the big-int
+    # oracle affordable.
     A = sample_set(SampleParameters(N=N, seed=N, p=p))
     A = _set(sorted({0, N, *A.elements.tolist()}), N)
     for combo in combos[:1] if N == 10**5 else combos:
         expected = _forced("int", A, combo, monkeypatch)
-        folds = _spy_folds(monkeypatch, other_side=True)
+        folds = _spy_folds(monkeypatch, check_plain=True)
         result = gen_sumset(A, combo)
         monkeypatch.undo()
         assert result == expected
-        sides = [fold[0] for fold in folds]
-        assert sides == _documented_gate(N, A.size, combo)
-        assert sides == [N == 10**5 and j > 1 for j in range(1, combo.h)]
+        assert [_check_paths(fold) for fold in folds] == ["sieve"] * (combo.h - 1)
+        assert _documented_gate(N, A.size)
+        assert all(fold.sieved < 8 for fold in folds), [fold.sieved for fold in folds]
         if A.size**combo.h <= 4 * 10**6:
             assert result == gen_sumset_naive(A, combo)
 
@@ -426,19 +524,27 @@ def test_windowed_fold_equals_big_int_fold_on_dense_sets(N, p, combos, monkeypat
 @pytest.mark.parametrize(
     "N, size",
     [
-        (BYTE_FOLD_MIN_N, 1024),  # |A|^2 / (N + 1) just below 32
-        (BYTE_FOLD_MIN_N, 1025),  # and just above, but no block away from the ends
-        (10**5, 300),  # h = 3: a plain first fold, then a windowed one
-        (1 << 17, 2048),  # the smallest N with such a block at h = 2: just below 32
-        (1 << 17, 2049),  # and just above
+        (BYTE_FOLD_MIN_N, 958),  # |B| = 2K, K = 479: folded whole
+        (BYTE_FOLD_MIN_N, 959),  # |B| = 2K + 1, K = 479: its ends and the sieve
+        (BYTE_FOLD_MIN_N, 1024),
+        (BYTE_FOLD_MIN_N, 1025),
+        (10**5, 300),  # K = 4667, so every fold is whole
+        (10**5, 1674),  # |B| = 2K, K = 837
+        (10**5, 1675),  # |B| = 2K + 1, K = 836
+        (1 << 17, 2048),
+        (1 << 17, 2049),
     ],
 )
 def test_window_gate_sides_and_plain_folds(N, size, monkeypatch):
     # The gate follows the documented rule; below it a fold does one whole
-    # OR per shift, as without windows.  The big-int fold is the oracle.
+    # OR per shift, and above it the sieve takes the middle shifts.  The
+    # big-int fold is the oracle.  The empty set, which has no K, goes
+    # through the byte fold in test_enumeration_equals_naive_and_byte_fold.
     rng = np.random.default_rng(size)
     inner = rng.choice(np.arange(1, N), size=size - 2, replace=False)
     A = _set([0, N, *inner.tolist()], N)
+    side = _documented_gate(N, size)
+    assert side == (size not in (958, 300, 1674))
     for combo in _combos((2, 0), (1, 1), (2, 1), (3, 0), (2, 2)):
         expected = _forced("int", A, combo, monkeypatch)
         folds = _spy_folds(monkeypatch)
@@ -447,30 +553,31 @@ def test_window_gate_sides_and_plain_folds(N, size, monkeypatch):
         assert result == expected
         if combo.h == 2 and size**2 <= 2 * 10**6:  # beyond, the naive sums take seconds
             assert result == gen_sumset_naive(A, combo)
-        sides = [fold[0] for fold in folds]
-        assert sides == _documented_gate(N, size, combo)
-        assert sides[0] == (size == 2049)
-        assert all(windowed or ored == plain for windowed, ored, plain in folds)
+        paths = [_check_paths(fold) for fold in folds]
+        assert paths == [("sieve" if side else "plain")] * (combo.h - 1)
+        assert all(fold.ored == fold.plain for fold in folds if not side)
 
 
 def test_windowed_fold_skips_most_bytes_at_slow_decay(monkeypatch):
-    # A slow-decay sumset misses values only near its two ends, so a
-    # windowed fold ORs under a quarter of the plain fold's bytes.
+    # A slow-decay sumset misses values only near its two ends, so a fold
+    # ORs its 2K end shifts, under a quarter of the whole fold's bytes, and
+    # leaves fewer than 100 values of the middle to the sieve.
     N = 10**6
     A = sample_set(SampleParameters(N=N, seed=123, c=1.0, delta=Fraction(3, 10)))
     for combo in _combos((2, 0), (1, 1)):
         folds = _spy_folds(monkeypatch)
         gen_sumset(A, combo)
         monkeypatch.undo()
-        [(windowed, ored, plain)] = folds
-        assert windowed and ored < plain / 4, (combo, ored, plain)
+        [fold] = folds
+        assert _check_paths(fold) == "sieve"
+        assert fold.ored < fold.plain / 4 and fold.sieved < 100, (combo, fold)
 
 
 @given(
     st.one_of(
         st.integers(0, 200),
-        st.integers(-24, 24).map(lambda k: 8 * _POPCOUNT_WORDS + k),
-        st.integers(-24, 24).map(lambda k: 16 * _POPCOUNT_WORDS + k),
+        st.integers(-24, 24).map(lambda k: 8 * _BLOCK_WORDS + k),
+        st.integers(-24, 24).map(lambda k: 16 * _BLOCK_WORDS + k),
     ),
     st.sampled_from(["random", "ones", "sparse"]),
     st.integers(0, 2**32 - 1),
@@ -671,19 +778,29 @@ def test_trial_record_folds_each_shared_prefix_once(monkeypatch):
 
 
 def test_trial_record_allocates_no_output_vector_after_its_first_call():
-    # At critical_h3's parameters both combos take the byte fold.  With the
-    # buffers of an earlier trial, the second trial allocates less at once
-    # than one output vector, (3N + 8) // 8 bytes; fresh buffers do not.
+    # At critical_h3's parameters both combos take the byte fold, folded
+    # whole; at slow_h2's both fold their ends and sieve.  With the buffers
+    # of an earlier trial, the second trial allocates less at once than one
+    # output vector, (hN + 8) // 8 bytes; fresh buffers do not.
     N = 10**6
-    params = SampleParameters(N=N, seed=99, c=2.0, delta=Fraction(2, 3))
-    first, second = (sample_set(replace(params, trial_index=t)) for t in range(2))
-    combos = _combos((2, 1), (3, 0))
-    assert {sumset.kernel_branch(N, 3, A.size) for A in (first, second)} == {"bytes"}
-    vector = (3 * N + 8) // 8
-    buffers = FoldBuffers()
-    _trial_record(first, combos, buffers)
-    assert peak_traced_bytes(lambda: _trial_record(second, combos, buffers)) < vector
-    assert peak_traced_bytes(lambda: _trial_record(second, combos, FoldBuffers())) > vector
+    for params, combos, path in (
+        (SampleParameters(N=N, seed=99, c=2.0, delta=Fraction(2, 3)),
+         _combos((2, 1), (3, 0)), "plain"),
+        (SampleParameters(N=N, seed=123, c=1.0, delta=Fraction(3, 10)),
+         _combos((2, 0), (1, 1)), "sieve"),
+    ):
+        first, second = (sample_set(replace(params, trial_index=t)) for t in range(2))
+        h = max(combo.h for combo in combos)
+        assert {sumset.kernel_branch(N, h, A.size) for A in (first, second)} == {"bytes"}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            folds = _spy_folds(monkeypatch)
+            _trial_record(second, combos, FoldBuffers())
+        assert {_check_paths(fold) for fold in folds} == {path}
+        vector = (h * N + 8) // 8
+        buffers = FoldBuffers()
+        _trial_record(first, combos, buffers)
+        assert peak_traced_bytes(lambda: _trial_record(second, combos, buffers)) < vector
+        assert peak_traced_bytes(lambda: _trial_record(second, combos, FoldBuffers())) > vector
 
 
 def _pipelined_records(monkeypatch, helpers_fail=False):
