@@ -17,17 +17,19 @@ kept by the same test.  Skipping the conversion to doubles makes a draw at
 N = 10^6 about 1.2x as fast.
 
 The stream is counter-based: Philox turns counter block m into words
-4m .. 4m+3, so word 4m onward is Philox(key=(seed, t)) advanced by m
-blocks.  SAMPLE_CHUNK is a multiple of 4, so every chunk starts on a whole
-block, and a trial's chunks can be drawn on k threads (numpy's random_raw
-and the comparison release the GIL).  Each thread keeps its own Philox of
-the trial's key and advances it to the chunk it claims.  The threads claim
-chunks from one shared iterator in increasing order rather than a fixed
-share each, so a thread on a busy core takes fewer chunks instead of
-holding up the trial (a fixed half each made one trial wait for the slower
-core).  Each thread holds one chunk of words, 512 KB, at a time.  The
-chunks' elements are joined in chunk order: the set is the one a single
-thread draws.
+4m .. 4m+3, so word 4m onward is Philox(key=(seed, t)) placed with its
+counter at m.  `_raw_words(seed, t, lo, count)` places the calling
+thread's own Philox, made once per thread, at key (seed, t) and counter
+lo // 4 through the state setter, then draws count words, so a chunk's
+words depend only on (seed, t, lo), whichever thread draws them and in
+whatever order.  SAMPLE_CHUNK is a multiple of 4, so every chunk starts on
+a whole block, and a trial's chunks can be drawn on k threads (numpy's
+random_raw and the comparison release the GIL).  The threads claim chunks
+from one shared iterator rather than a fixed share each, so a thread on a
+busy core takes fewer chunks instead of holding up the trial (a fixed half
+each made one trial wait for the slower core).  Each thread holds one
+chunk of words, 512 KB, at a time.  The chunks' elements are joined in
+chunk order: the set is the one a single thread draws.
 
 `sample_sets(params, trials, threads=k)` yields the sets of a range of
 trials in order, on a thread pool of (up to) k - 1 workers made once per
@@ -42,11 +44,12 @@ no worker starts and the caller draws every chunk when it asks for the
 set.
 
 `sample_members` builds the membership rows of a batch of trials for the
-batched small-N path: it re-keys one Philox to (seed, t) through its state
-setter instead of constructing a generator per trial (a tenth of the cost),
-so each row is exactly the set `sample_set` gives for that trial.  The
-state is a dict of plain ints, which the setter reads faster than uint64
-arrays.  It still compares doubles: at N = 100 raw rows measured no faster.
+batched small-N path: it places one Philox at key (seed, t) and counter 0
+through its state setter, from the same state layout as `_raw_words`,
+instead of constructing a generator per trial (a tenth of the cost), so
+each row is exactly the set `sample_set` gives for that trial.  The state
+is a dict of plain ints, which the setter reads faster than uint64 arrays.
+It still compares doubles: at N = 100 raw rows measured no faster.
 """
 
 from __future__ import annotations
@@ -190,15 +193,14 @@ class SampledSet:
 def scatter_bits(offsets: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out (uint8), zeroed, then bit v of its little-endian bytes set for each v in offsets.
 
-    offsets (int64) is overwritten with the byte indices, so the only
-    temporary is one uint8 bit mask per offset.
+    offsets (int64) is left as it is; the temporaries are one uint8 bit mask
+    and one int64 byte index per offset.
     """
     masks = np.bitwise_and(offsets, 7, out=np.empty(offsets.size, dtype=np.uint8),
                            casting="unsafe")
     np.left_shift(1, masks, out=masks)
-    offsets >>= 3
     out.fill(0)
-    np.bitwise_or.at(out, offsets, masks)
+    np.bitwise_or.at(out, offsets >> 3, masks)
     return out
 
 
@@ -208,29 +210,29 @@ def substream(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Stream(threading.local):
-    """Each thread's own Philox, placed in the stream of the trial it last drew from.
+def _philox_state(key: list, block: int) -> dict:
+    """The state of Philox(key=key) placed with its counter at block, buffer empty.
 
-    A threading.local: each thread that draws through it gets its own state,
-    set up by __init__ on its first use.  A thread only advances its Philox:
-    within a trial the chunk starts it claims ascend, since every task of
-    the trial (one per worker, and the caller's own claims) takes them from
-    the trial's one iterator in increasing order, and a thread runs one task
-    at a time.
+    The setter reads each entry by index, and plain ints convert faster than
+    uint64 array entries: about 1.4 us a trial, against 3.0 us.
     """
+    return {"bit_generator": "Philox", "state": {"counter": [block, 0, 0, 0], "key": key},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._t = None
 
-    def words(self, t: int, lo: int, count: int) -> np.ndarray:
-        """Raw words lo .. lo + count - 1 of trial t; lo ascends within a trial."""
-        if t != self._t:
-            self._t, self._bitgen, self._at = t, substream(self._seed, t).bit_generator, 0
-        if lo > self._at:
-            self._bitgen.advance((lo - self._at) // 4)
-        self._at = lo + count
-        return self._bitgen.random_raw(count)
+_thread = threading.local()  # each thread's own Philox, made on its first draw
+
+
+def _raw_words(seed: int, t: int, lo: int, count: int) -> np.ndarray:
+    """Raw words lo .. lo + count - 1 of trial t's stream; lo is a multiple of 4.
+
+    The calling thread's Philox is placed at key (seed, t) and counter
+    lo // 4, so the words depend on nothing the thread drew before.
+    """
+    if not hasattr(_thread, "philox"):
+        _thread.philox = np.random.Philox(0)  # a fixed seed reads no OS entropy
+    _thread.philox.state = _philox_state([seed & _MASK64, t & _MASK64], lo // 4)
+    return _thread.philox.random_raw(count)
 
 
 def sample_sets(params: SampleParameters, trials: range, threads: int = 1):
@@ -241,8 +243,9 @@ def sample_sets(params: SampleParameters, trials: range, threads: int = 1):
     docstring), so the set is the one that random(N+1) < p gives.  The
     calling thread and the min(threads, chunks of a trial) - 1 workers of a
     thread pool made once per call claim the chunks of a trial from one
-    iterator, each advancing its own Philox of key (seed, t) to the block
-    its chunk starts on, so at most one chunk of words per thread is alive.
+    iterator, each drawing its chunk with its own Philox placed with its
+    counter at the block the chunk starts on, so at most one chunk of words
+    per thread is alive.
     Each trial gives each worker one task, submitted as the previous trial's
     set is yielded, and no later trial's: while the caller works on trial
     t's set, the workers draw trial t + 1, and when it asks for that set it
@@ -253,11 +256,10 @@ def sample_sets(params: SampleParameters, trials: range, threads: int = 1):
     """
     if not trials:
         return
-    N, size = params.N, params.N + 1
+    N, seed, size = params.N, params.seed, params.N + 1
     limit = np.uint64((math.ceil(effective_p(params) * 2**53) << 11) - 1)
     chunks = -(-size // SAMPLE_CHUNK)
     helpers = min(threads, chunks) - 1
-    stream = _Stream(params.seed)
     # numpy imports numpy.random on a process's first draw.  Imported here, on
     # the calling thread, before any worker starts: imported on a worker, its
     # allocations went to that thread's malloc arena, +0.4 MB of peak RSS.
@@ -268,7 +270,7 @@ def sample_sets(params: SampleParameters, trials: range, threads: int = 1):
         for lo in claims:
             # One expression, so the chunk's words are freed before the next.
             parts[lo // SAMPLE_CHUNK] = np.flatnonzero(
-                stream.words(t, lo, min(SAMPLE_CHUNK, size - lo)) <= limit) + lo
+                _raw_words(seed, t, lo, min(SAMPLE_CHUNK, size - lo)) <= limit) + lo
 
     def start(t: int):
         """Open trial t: its claims, its parts, and one task per worker."""
@@ -280,7 +282,7 @@ def sample_sets(params: SampleParameters, trials: range, threads: int = 1):
         draw(t, claims, parts)
         for task in tasks:
             task.result()  # raises the worker's fault
-        return SampledSet(N=N, elements=np.concatenate(parts).astype(np.int64))
+        return SampledSet(N=N, elements=np.concatenate(parts))
 
     # Workers start as tasks are submitted: with no helper, none starts.
     with ThreadPoolExecutor(max(helpers, 1)) as pool:  # joins them on exit
@@ -310,9 +312,9 @@ def sample_members(params: SampleParameters, trials: range) -> np.ndarray:
     """Membership matrix of a batch of trials: a bool array (len(trials), N+1).
 
     Row i is the indicator over 0..N of the set that sample_set gives for
-    trial trials[i] (params.trial_index is ignored).  One Philox is re-keyed
-    to (seed, t) for each trial through its state setter, from a dict of
-    plain ints that puts it in the state Philox(key=(seed, t)) starts in,
+    trial trials[i] (params.trial_index is ignored).  One Philox is placed
+    at key (seed, t) and counter 0 for each trial through its state setter,
+    from one held dict of plain ints in which only the trial key changes,
     and draws the trial's N+1 uniforms in one call (the same stream that
     sample_set draws in chunks).  They are compared against p a few rows at
     a time, so at most MEMBER_CHUNK doubles, or one row, are alive.
@@ -320,12 +322,8 @@ def sample_members(params: SampleParameters, trials: range) -> np.ndarray:
     p = effective_p(params)
     size = params.N + 1
     key = [params.seed & _MASK64, 0]
-    # The state Philox(key=key) starts in.  The setter reads each entry by
-    # index, and plain ints convert faster than uint64 array entries: about
-    # 1.4 us a trial, against 3.0 us.
-    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    state = _philox_state(key, 0)
+    bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     members = np.empty((len(trials), size), dtype=bool)
     draws = np.empty((max(1, min(len(trials), MEMBER_CHUNK // size)), size))

@@ -418,7 +418,7 @@ def _walk(A: SampledSet, combos, buffers: FoldBuffers):
                 reflection = buffers.take("-", A.size, np.int64)
                 bases = {"+": A.elements, "-": np.subtract(N, A.elements[::-1], out=reflection)}
                 sums = [A.elements if branch == "enumerate"
-                        else scatter_bits(A.elements.copy(), buffers.take(0, N // 8 + 1))]
+                        else scatter_bits(A.elements, buffers.take(0, N // 8 + 1))]
         del sums[len(os.path.commonprefix([path, signs])) + 1 :]
         for j in range(len(sums), len(signs) + 1):
             shifts = bases[signs[j - 1]]

@@ -1,17 +1,20 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles and fixtures for the test suite.
 
-These deliberately use the dumbest correct method available (full subset or
-tuple enumeration) so they cannot share a failure mode with the formulas
-they check.
+The oracles deliberately use the dumbest correct method available (full
+subset or tuple enumeration) so they cannot share a failure mode with the
+formulas they check.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 from itertools import product
 
-from gensumset import SignedCombination
+import pytest
+
+from gensumset import SignedCombination, sampling
 
 
 def all_combos(h_min: int = 2, h_max: int = 4) -> list[SignedCombination]:
@@ -77,3 +80,29 @@ def peak_traced_bytes(call) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def raw_words_hooks(monkeypatch):
+    """Patch sampling._raw_words so that each chunk's draw runs test hooks first.
+
+    Calling the fixture's value with (delay, fault, record) installs them:
+    a draw for which fault() is true raises "injected sampler fault" before
+    it records or draws anything; record(t), if given, is called with the
+    chunk's trial, and the draw then sleeps delay seconds (letting other
+    threads claim chunks) before it draws the chunk's true words.
+    """
+    raw_words = sampling._raw_words
+
+    def install(delay=0.0, fault=lambda: False, record=None):
+        def words(seed, t, lo, count):
+            if fault():
+                raise RuntimeError("injected sampler fault")
+            if record is not None:
+                record(t)
+            time.sleep(delay)
+            return raw_words(seed, t, lo, count)
+
+        monkeypatch.setattr(sampling, "_raw_words", words)
+
+    return install

@@ -1,8 +1,10 @@
 import io
 import math
+import random
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -99,8 +101,9 @@ def test_bitmask_matches_elements():
             mask = A.bitmask()
             for a in range(N + 1):
                 assert ((mask >> a) & 1) == (1 if a in members else 0)
-            packed = scatter_bits(A.elements.copy(), np.ones((N + 8) // 8, dtype=np.uint8))
+            packed = scatter_bits(A.elements, np.ones((N + 8) // 8, dtype=np.uint8))
             assert int.from_bytes(packed.tobytes(), "little") == mask
+            assert A.elements.tolist() == sorted(members)  # the offsets are left as they are
 
 
 def test_mean_size_matches_binomial():
@@ -171,7 +174,7 @@ _ORACLE_PS = [1.0, 1.0 - 2.0**-53, 0.5, 2.0**-53, 0.01,
 )
 def test_chunked_draws_equal_one_draw(size):
     # Comparing raw words chunk by chunk, on one thread or on several that
-    # each advance their own Philox to the chunks they claim, continues one
+    # each place their own Philox at the chunks they claim, continues one
     # stream, so the set is the one a single draw of N+1 doubles gives
     # against p.
     for t in (0, 1, 2**64 - 1):
@@ -183,42 +186,48 @@ def test_chunked_draws_equal_one_draw(size):
                 assert np.array_equal(A.elements, expected), (p, t, threads)
 
 
-class _SlowPhilox:
-    """A trial's Philox whose draws sleep, noting the thread that drew them."""
-
-    def __init__(self, bitgen, drawn_by, delay):
-        self._bitgen = bitgen
-        self._drawn_by = drawn_by
-        self._delay = delay
-
-    def advance(self, blocks):
-        self._bitgen.advance(blocks)
-
-    def random_raw(self, size):
-        self._drawn_by.append(threading.get_ident())
-        time.sleep(self._delay)  # lets the other threads claim chunks
-        return self._bitgen.random_raw(size)
-
-
-def _slow_substream(monkeypatch, delay=0.0, fail=lambda: False):
-    """Patch sampling.substream to hand out _SlowPhilox generators.
-
-    A thread for which fail() is true raises before it draws anything.
-    Returns the list of thread ids, one per chunk drawn.
-    """
+def _note_threads(raw_words_hooks, delay=0.0, fault=lambda: False):
+    """Install raw_words_hooks; returns the id of the thread that drew each chunk."""
     drawn_by = []
-
-    class Stream:
-        def __init__(self, seed, t):
-            if fail():
-                raise RuntimeError("injected sampler fault")
-            self.bit_generator = _SlowPhilox(substream(seed, t).bit_generator, drawn_by, delay)
-
-    monkeypatch.setattr(sampling, "substream", Stream)
+    raw_words_hooks(delay, fault, lambda t: drawn_by.append(threading.get_ident()))
     return drawn_by
 
 
-def test_small_chunks_interleave_between_threads(monkeypatch):
+def test_raw_words_depend_only_on_the_chunk():
+    # Chunks drawn in descending order, then again shuffled, two trials and
+    # two seeds interleaved, on one thread and on two, are each their slice
+    # of one raw draw of the trial's stream; the chunk at word 2^40 is the
+    # draw's continuation there.
+    size, far = 16 * 50 + 7, 2**40
+    keys = [(seed, t) for seed in (5, 2**64 - 1) for t in (3, 2**64 - 1)]
+    expected = {}
+    for key in keys:
+        bitgen = substream(*key).bit_generator
+        expected[key] = bitgen.random_raw(size)
+        bitgen = substream(*key).bit_generator
+        bitgen.advance(far // 4)
+        expected[key, far] = bitgen.random_raw(16)
+    chunks = [(key, lo) for lo in range(size // 16 * 16, -1, -16) for key in keys]
+    shuffled = chunks + [(key, far) for key in keys]
+    random.Random(1).shuffle(shuffled)
+    order = chunks + shuffled
+
+    def check(part):
+        for key, lo in part:
+            if lo == far:
+                words, want = sampling._raw_words(*key, lo, 16), expected[key, far]
+            else:
+                want = expected[key][lo : lo + 16]
+                words = sampling._raw_words(*key, lo, want.size)
+            assert np.array_equal(words, want), (key, lo)
+
+    check(order)
+    with ThreadPoolExecutor(2) as pool:
+        for task in [pool.submit(check, order[i::2]) for i in range(2)]:
+            task.result()
+
+
+def test_small_chunks_interleave_between_threads(monkeypatch, raw_words_hooks):
     # 16-word chunks, 4 Philox blocks each, claimed by up to 5 threads on a
     # short switch interval, for one trial and for a pipelined run of
     # three: each chunk is drawn exactly once, and each set is still the
@@ -228,7 +237,7 @@ def test_small_chunks_interleave_between_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for size, threads in ((16 * 40, 2), (16 * 40 + 1, 3), (16 * 53 + 7, 5)):
-            drawn_by = _slow_substream(monkeypatch, delay=1e-4)
+            drawn_by = _note_threads(raw_words_hooks, delay=1e-4)
             for p in (0.5, 0.01):
                 A = sample_set(_params(size - 1, seed=9, trial=4, p=p), threads=threads)
                 sets = sampling.sample_sets(_params(size - 1, seed=9, p=p), range(4, 7),
@@ -242,7 +251,7 @@ def test_small_chunks_interleave_between_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_a_fault_in_any_thread_is_raised_and_no_helper_outlives_the_call(monkeypatch):
+def test_a_fault_in_any_thread_is_raised_and_no_helper_outlives_the_call(raw_words_hooks):
     params = _params(4 * SAMPLE_CHUNK, seed=2, trial=1, p=0.01)
     before = threading.active_count()
     assert sample_set(params, threads=3) == sample_set(params)
@@ -260,14 +269,14 @@ def test_a_fault_in_any_thread_is_raised_and_no_helper_outlives_the_call(monkeyp
         return True
 
     # A helper's fault is raised, not returned as a short set.
-    _slow_substream(monkeypatch, fail=helpers_fail)
+    _note_threads(raw_words_hooks, fault=helpers_fail)
     with pytest.raises(RuntimeError, match="injected sampler fault"):
         sample_set(params, threads=3)
     assert threading.active_count() == before
     # The calling thread's own fault is raised after the helpers, still
     # drawing slowly, have been joined.
-    drawn_by = _slow_substream(monkeypatch, delay=0.05,
-                               fail=lambda: threading.get_ident() == caller)
+    drawn_by = _note_threads(raw_words_hooks, delay=0.05,
+                             fault=lambda: threading.get_ident() == caller)
     with pytest.raises(RuntimeError, match="injected sampler fault"):
         sample_set(params, threads=3)
     assert threading.active_count() == before
@@ -332,32 +341,12 @@ def test_pipelined_sets_equal_one_draw(size):
                 assert np.array_equal(A.elements, elements), (p, threads)
 
 
-def _note_trials(monkeypatch):
-    """Patch sampling.substream so that each raw draw, slowed, notes its trial."""
-    drawn = []
-
-    class Stream:
-        def __init__(self, seed, t):
-            self.bit_generator = self
-            self._bitgen, self._t = substream(seed, t).bit_generator, t
-
-        def advance(self, blocks):
-            self._bitgen.advance(blocks)
-
-        def random_raw(self, size):
-            drawn.append(self._t)
-            time.sleep(1e-4)
-            return self._bitgen.random_raw(size)
-
-    monkeypatch.setattr(sampling, "substream", Stream)
-    return drawn
-
-
-def test_helpers_draw_at_most_one_trial_ahead(monkeypatch):
+def test_helpers_draw_at_most_one_trial_ahead(monkeypatch, raw_words_hooks):
     # While the caller holds trial t's set, the helpers draw trial t + 1's
     # chunks and none of a later trial.
     monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 16)
-    drawn = _note_trials(monkeypatch)
+    drawn = []
+    raw_words_hooks(delay=1e-4, record=drawn.append)
     params = _params(16 * 30 - 1, seed=21, p=0.3)
     trials = range(40, 46)
     ahead = 0

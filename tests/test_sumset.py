@@ -25,7 +25,7 @@ from gensumset import (
     tuple_statistics,
 )
 from gensumset import sampling, sumset
-from gensumset.sampling import sample_members, substream
+from gensumset.sampling import sample_members
 from gensumset.sumset import (
     _BLOCK_WORDS,
     BIT_SLICE_MAX_N,
@@ -803,33 +803,26 @@ def test_trial_record_allocates_no_output_vector_after_its_first_call():
         assert peak_traced_bytes(lambda: _trial_record(second, combos, FoldBuffers())) > vector
 
 
-def _pipelined_records(monkeypatch, helpers_fail=False):
+def _pipelined_records(monkeypatch, raw_words_hooks=None):
     """records at N = 1000 in chunks of 16 words, on 3 threads, with its trials.
 
-    With helpers_fail, a helper raises as it starts drawing a trial, and the
-    calling thread draws nothing until one has, so a helper is sure to have
-    claimed a chunk (else the caller may draw every chunk first).
+    Given the raw_words_hooks fixture, a helper raises as it starts drawing a
+    chunk, and the calling thread draws nothing until one has, so a helper
+    is sure to have claimed a chunk (else the caller may draw every chunk
+    first).
     """
     caller, failed = threading.get_ident(), threading.Event()
 
-    class Stream:
-        def __init__(self, seed, t):
-            if helpers_fail and threading.get_ident() != caller:
-                failed.set()
-                raise RuntimeError("injected sampler fault")
-            self.bit_generator = self
-            self._bitgen = substream(seed, t).bit_generator
-
-        def advance(self, blocks):
-            self._bitgen.advance(blocks)
-
-        def random_raw(self, size):
-            if helpers_fail:
-                assert failed.wait(timeout=10), "no helper claimed a chunk"
-            return self._bitgen.random_raw(size)
+    def helpers_fail():
+        if threading.get_ident() == caller:
+            assert failed.wait(timeout=10), "no helper claimed a chunk"
+            return False
+        failed.set()
+        return True
 
     monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 16)
-    monkeypatch.setattr(sampling, "substream", Stream)
+    if raw_words_hooks is not None:
+        raw_words_hooks(fault=helpers_fail)
     params = SampleParameters(N=1000, seed=4, p=0.05)
     combos = _combos((1, 1), (2, 0))
     trials = range(3, 9)
@@ -854,26 +847,13 @@ def test_pipelined_records_leave_no_helper_behind(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [2, 3, 5])
-def test_pipelined_draws_run_at_most_their_helpers(monkeypatch, threads):
+def test_pipelined_draws_run_at_most_their_helpers(monkeypatch, raw_words_hooks, threads):
     # Drawing trial after trial, alone or under records' folds, runs at
     # most min(threads, chunks) - 1 threads beside the caller, and none
     # outlives a consumer whose loop raises.
     counts = []
-
-    class Stream:
-        def __init__(self, seed, t):
-            self.bit_generator = self
-            self._bitgen = substream(seed, t).bit_generator
-
-        def advance(self, blocks):
-            self._bitgen.advance(blocks)
-
-        def random_raw(self, size):
-            counts.append(threading.active_count())
-            return self._bitgen.random_raw(size)
-
     monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 16)
-    monkeypatch.setattr(sampling, "substream", Stream)
+    raw_words_hooks(record=lambda t: counts.append(threading.active_count()))
     params = SampleParameters(N=16 * 40 - 1, seed=6, p=0.2)  # 40 chunks, above BIT_SLICE_MAX_N
     trials = range(10, 14)
     before = threading.active_count()
@@ -890,9 +870,9 @@ def test_pipelined_draws_run_at_most_their_helpers(monkeypatch, threads):
     assert max(counts) <= most
 
 
-def test_pipelined_records_raise_a_helper_fault(monkeypatch):
+def test_pipelined_records_raise_a_helper_fault(monkeypatch, raw_words_hooks):
     before = threading.active_count()
-    records, *_ = _pipelined_records(monkeypatch, helpers_fail=True)
+    records, *_ = _pipelined_records(monkeypatch, raw_words_hooks)
     with pytest.raises(RuntimeError, match="injected sampler fault"):
         list(records)
     assert threading.active_count() == before
