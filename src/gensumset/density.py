@@ -6,9 +6,16 @@ overlap moments b_{h,k} of that density and the critical-decay constant
 g(c; s, d), the sum of a series in them, are integrals over one table of
 integer polynomial pieces, each computed past double precision and rounded
 once.  Also here: the exact missing-value laws for two-summand slow decay,
-sums of math.pow terms, largest first, added exactly in chunks and rounded
-once; each law stops as soon as a bound on the terms it has not yet added
-proves that they cannot change the rounded sum.
+sums of terms built from correctly rounded powers, largest first, added
+exactly in chunks and rounded once; each law stops as soon as a bound on
+the terms it has not yet added proves that they cannot change the rounded
+sum.  The powers come in runs of double-doubles: a long run from a cached
+table, the differences law's many short runs (one per chain length)
+doubled together.  Each rounding is certified against an error bound, and
+exact integer bounds decide the few it cannot, so no term depends on the
+platform's libm.
+libm is left in the stop bounds (pow), whose error _SLACK covers, and in
+the differences law's cutoff of negligible n (log1p).
 
 Everything is a pure function; the constant tables are cached and safe for
 concurrent reads.
@@ -23,7 +30,6 @@ from decimal import Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -40,6 +46,11 @@ _G_DIGITS = 34  # working digits of g_series
 _CHUNK = 1 << 14  # terms per chunk of the slow-h2 laws, each summed exactly at once
 _UNIT = 2**1126  # every finite double is a whole number of 2**-1126 (see _exact_sum)
 _SLACK = 1.0 + 2.0**-20  # raises each slow-h2 tail bound past its rounding errors
+_PREC = 128  # bits of _bounds' first try, beyond the exponent's
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for 26-bit halves of a double
+_BLOCK = 1 << 12  # powers per double-double table block
+_EPS = 2.0**-96  # relative error that _powers certifies a rounding against
+_TINY = 2.0**-960  # double-double powers below this go to _power
 
 
 def missing_sums_asymptote_h2(p: float) -> float:
@@ -307,7 +318,8 @@ def missing_sum_probability_h2(n: int, N: int, p: float) -> float:
 
     Exact for every n in [0, 2N]: the pair representations of n are disjoint
     element sets for n <= N, and n > N reduces to 2N - n by reflecting the
-    ground set.
+    ground set.  The power of 1 - p^2 is correctly rounded (_power), so the
+    result does not depend on the platform's libm.
     """
     if not 0 <= n <= 2 * N:
         raise ValueError(f"n must lie in [0, {2 * N}], got {n}")
@@ -317,14 +329,295 @@ def missing_sum_probability_h2(n: int, N: int, p: float) -> float:
         n = 2 * N - n
     q = 1.0 - p * p
     if n % 2 == 0:
-        return q ** (n // 2) * (1.0 - p)
-    return q ** ((n + 1) // 2)
+        return _power(q, n // 2) * (1.0 - p)
+    return _power(q, (n + 1) // 2)
 
 
-def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
-    """base ** k for each integer k < 2**53 of exponents, by the same libm pow."""
-    return np.fromiter(map(math.pow, repeat(base), exponents.astype(float).tolist()),
-                       dtype=float, count=exponents.size)
+# Correctly rounded powers x**k of a double 0 <= x <= 1, k >= 0.  Write
+# x = m / 2**s with m odd, so that x**k = m**k / 2**(s*k), and u = 2**-53.
+
+def _bounds(m: int, k: int, prec: int) -> tuple[int, int, int]:
+    """Integers lo <= hi and e with lo * 2**e <= m**k <= hi * 2**e.
+
+    Binary powering in which every product longer than prec bits is cut to
+    prec bits, down for lo and up for hi.  A cut moves a value by less than
+    2**(1 - prec) relative, and the cuts of a factor are raised with it, so
+    hi and lo are within k cuts of m**k: (hi - lo) / lo is below about
+    k * 2**(2 - prec).  A product that is never cut is exact, so at
+    prec >= m**k's bit length lo == hi == m**k.
+    """
+    lo = hi = 1
+    e = 0
+    base_lo = base_hi = m
+    base_e = 0
+    while True:
+        if k & 1:
+            lo *= base_lo
+            hi *= base_hi
+            e += base_e
+            cut = hi.bit_length() - prec
+            if cut > 0:
+                lo >>= cut
+                hi = -(-hi >> cut)
+                e += cut
+        k >>= 1
+        if not k:
+            return lo, hi, e
+        base_lo *= base_lo
+        base_hi *= base_hi
+        base_e *= 2
+        cut = base_hi.bit_length() - prec
+        if cut > 0:
+            base_lo >>= cut
+            base_hi = -(-base_hi >> cut)
+            base_e += cut
+
+
+def _scaled(m: int, e: int) -> float:
+    """m * 2**e for an integer m, rounded once, half to even (int / int is)."""
+    if m.bit_length() + e <= -1075:  # below half the least subnormal: 0
+        return 0.0 * m
+    return float(m << e) if e >= 0 else m / (1 << -e)
+
+
+def _power(x: float, k: int) -> float:
+    """x**k correctly rounded, half to even, for a double 0 <= x <= 1 and k >= 0.
+
+    Rounds the two ends of _bounds at rising precision until they round
+    alike.  That ends at the latest once the bounds are exact, so it also
+    settles exact midpoints, such as 0.75**34 = 3**34 / 2**68 (54 bits).
+    About 15 us at k near 10**6; Fraction(x)**k would hold m**k itself.
+    """
+    m, d = x.as_integer_ratio()
+    shift = (d.bit_length() - 1) * k
+    prec = _PREC + k.bit_length()
+    while True:
+        lo, hi, e = _bounds(m, k, prec)
+        low = _scaled(lo, e - shift)
+        if low == _scaled(hi, e - shift):
+            return low
+        prec *= 2
+
+
+def _dd_power(x: float, k: int) -> tuple[float, float]:
+    """x**k as a double-double h + l, within 1.001 u**2 of it relative.
+
+    h rounds hi * 2**e of _bounds at _PREC + log2(k) bits, within 2**-125
+    of x**k relative, and l rounds the exact rest, so |l| <= ulp(h)/2 and l
+    is within u * |l| <= u**2 * h of it (while h >= _TINY).
+    """
+    m, d = x.as_integer_ratio()
+    _, hi, e = _bounds(m, k, _PREC + k.bit_length())
+    e -= (d.bit_length() - 1) * k
+    h = _scaled(hi, e)
+    a, b = h.as_integer_ratio()  # h = a / 2**t
+    t = b.bit_length() - 1
+    if e + t >= 0:
+        return h, _scaled((hi << (e + t)) - a, -t)
+    return h, _scaled(hi - (a << (-e - t)), e)
+
+
+def _dd_times(a_hi, a_lo, b: tuple, hi, lo, work) -> None:
+    """hi + lo = (a_hi + a_lo) * (b[0] + b[1]): double-doubles in arrays (b's may be floats).
+
+    Dekker's product: a_hi and b[0] are split into 26-bit halves
+    (Veltkamp), so a_hi * b[0] - fl(a_hi * b[0]) is computed exactly, and the
+    cross terms a_hi * b[1] and a_lo * b[0] are added to it; a_lo * b[1],
+    below u**2 of the product, is dropped.  With |a_lo| <= u |a_hi| and
+    |b[1]| <= u |b[0]|, the result is within 9 u**2 of the product relative,
+    and hi, lo are renormalized, |lo| <= ulp(hi)/2.  Exact splits and
+    products need the product to be at least about 2**-969.  work holds two
+    scratch rows of the arrays' length.
+    """
+    b_hi, b_lo = b
+    b_big = b_hi * _SPLIT
+    b1 = b_big - (b_big - b_hi)
+    b2 = b_hi - b1
+    a1, a2 = work
+    np.multiply(a_hi, _SPLIT, out=a1)
+    np.subtract(a1, a_hi, out=a2)
+    a1 -= a2
+    np.subtract(a_hi, a1, out=a2)
+    np.multiply(a_hi, b_hi, out=hi)
+    np.multiply(a1, b1, out=lo)
+    lo -= hi
+    a1 *= b2
+    lo += a1
+    np.multiply(a2, b1, out=a1)
+    lo += a1
+    a2 *= b2
+    lo += a2  # the exact error of hi
+    np.multiply(a_hi, b_lo, out=a1)
+    lo += a1
+    np.multiply(a_lo, b_hi, out=a1)
+    lo += a1
+    np.add(hi, lo, out=a1)
+    np.subtract(a1, hi, out=a2)
+    lo -= a2
+    np.copyto(hi, a1)
+
+
+@lru_cache(maxsize=8)
+def _table(base: float, step: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The double-doubles (base**step)**i for i < size (a power of two), read-only.
+
+    Doubled in place: entries [m, 2m) are entries [0, m) times
+    _dd_power(base, step * m).  So entry i is a product of popcount(i)
+    such factors, each within about u**2, in as many _dd_times: within
+    11 u**2 popcount(i) relative.
+    """
+    hi, lo = np.empty((2, size))
+    hi[0], lo[0] = 1.0, 0.0
+    work = np.empty((2, size // 2))
+    m = 1
+    while m < size:
+        _dd_times(hi[:m], lo[:m], _dd_power(base, step * m), hi[m:2 * m], lo[m:2 * m],
+                  work[:, :m])
+        m *= 2
+    hi.flags.writeable = lo.flags.writeable = False
+    return hi, lo
+
+
+def _powers(base: float, start: int, step: int, count: int, out=None) -> np.ndarray:
+    """base**(start + i*step) for i < count, each correctly rounded, half to even.
+
+    For a double 0 <= base <= 1 and exponents >= 0; step may be negative.
+    Written into out (length count) if given, else into a new array.
+
+    Each block of _BLOCK exponents is one vectorized _dd_times of the
+    _table of (base, |step|) by _dd_power(base, first exponent).  That is
+    within (11 * 12 + 1 + 9) u**2 < 2**-98 of the power relative, and
+    _settle certifies it with eps = _EPS = 2**-96.
+    """
+    out = np.empty(count) if out is None else out
+    run = out
+    if step < 0:  # the same exponents, ascending, written backwards
+        start, step, run = start + (count - 1) * step, -step, out[::-1]
+    size = min(_BLOCK, 1 << max(count - 1, 0).bit_length())
+    t_hi, t_lo = _table(base, step, size)
+    lo, a, b = np.empty((3, size))
+    for first in range(0, count, size):
+        n = min(size, count - first)
+        hi = run[first:first + n]
+        _dd_times(t_hi[:n], t_lo[:n], _dd_power(base, start + first * step), hi, lo[:n],
+                  (a[:n], b[:n]))
+        _settle(hi, lo[:n], _EPS, base, start + step * (first + np.arange(n)), (a[:n], b[:n]))
+    return out
+
+
+def _dd_powers(bases, exponents) -> tuple[np.ndarray, np.ndarray]:
+    """bases[i]**exponents[i] as double-doubles hi + lo, vectorized across the terms.
+
+    For doubles 0 <= bases <= 1 and integer exponents >= 0, by binary
+    powering: each step squares x**(2**j) and multiplies it into the power
+    where bit j of k is set, both in one _dd_times on two stacked rows.
+    x**k is then a product tree of k leaves x, each exact, and a _dd_times
+    adds at most 9 u**2 to its factors' relative errors, so hi + lo is
+    within 9 u**2 (k - 1) of x**k relative (and exactly 1 at k = 0), while
+    no product falls below about 2**-969.
+    """
+    x = np.asarray(bases, dtype=float)
+    k = np.asarray(exponents, dtype=np.int64)
+    bits = int(k.max()).bit_length() if k.size else 0
+    take = ((k >> np.arange(bits)[:, None]) & 1).astype(bool)  # take[j]: bit j of k is set
+    hi = np.stack((np.ones(x.size), x))  # the power so far and x**(2**j)
+    lo = np.zeros((2, x.size))
+    product_hi, product_lo, *work = np.empty((4, 2, x.size))
+    for j in range(bits):
+        _dd_times(hi, lo, (hi[1], lo[1]), product_hi, product_lo, work)  # both rows by the square
+        np.copyto(hi[0], product_hi[0], where=take[j])
+        np.copyto(lo[0], product_lo[0], where=take[j])
+        hi[1], lo[1] = product_hi[1], product_lo[1]
+    return hi[0], lo[0]
+
+
+def _run_powers(bases, starts, steps, counts) -> np.ndarray:
+    """Runs of powers bases[r]**(starts[r] + i*steps[r]) for i < counts[r],
+    one after another, each correctly rounded, half to even.
+
+    For doubles 0 <= bases <= 1, exponents >= 0 and counts >= 1: many
+    short runs of different bases at once, where a _table each would cost
+    more than its powers.  Every run's first power and base**step come
+    from one _dd_powers, so its cost grows with the bits of the largest
+    start and step, not with the number of runs.  Then all runs are doubled
+    together: entries [m, 2m) of each run longer than m are its entries
+    [0, m) times base**(step*m), which is then squared, in one _dd_times.
+    Entry i's factors are the first power and step powers whose exponents
+    sum to k = start + i*step, each within 9 u**2 times its exponent less
+    one (the first is exactly 1 at start 0), and the entry has one
+    _dd_times per factor after the first: it is within 9 u**2 k relative,
+    and _settle certifies it with eps = 16 u**2 k.
+    """
+    x = np.asarray(bases, dtype=float)
+    starts = np.asarray(starts, dtype=np.int64)
+    steps = np.asarray(steps, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    at = (np.cumsum(counts) - counts).astype(np.int32)  # entries fit int32: half the bytes
+    run = np.repeat(np.arange(x.size, dtype=np.int32), counts)
+    entry = np.arange(run.size, dtype=np.int32) - at[run]
+    # base**step is needed only for runs longer than 1, and its bits cost.
+    first_hi, first_lo = _dd_powers(np.concatenate((x, x)),
+                                    np.concatenate((starts, np.where(counts > 1, steps, 0))))
+    hi, lo = np.empty((2, run.size))
+    hi[at], lo[at] = first_hi[:x.size], first_lo[:x.size]
+    step_hi, step_lo = first_hi[x.size:], first_lo[x.size:]  # base**(step*m)
+    level = np.frexp(entry)[1]  # entries [m, 2m) are level log2(m) + 1; the first, 0
+    order = np.argsort(level, kind="stable").astype(np.int32)
+    ends = np.cumsum(np.bincount(level)).tolist()
+    del level
+    m = 1
+    for begin, end in zip(ends, ends[1:]):
+        target = order[begin:end]
+        source = target - m
+        a = np.concatenate((hi[source], step_hi)), np.concatenate((lo[source], step_lo))
+        factor = run[target]
+        b = (np.concatenate((step_hi[factor], step_hi)),
+             np.concatenate((step_lo[factor], step_lo)))
+        product_hi, product_lo, *work = np.empty((4, a[0].size))
+        _dd_times(*a, b, product_hi, product_lo, work)
+        del a, b, work  # before the next level's
+        hi[target], lo[target] = product_hi[:target.size], product_lo[:target.size]
+        step_hi, step_lo = product_hi[target.size:], product_lo[target.size:]
+        m *= 2
+    del order
+    k = starts[run] + steps[run] * entry
+    _settle(hi, lo, k * 2.0**-102, x[run], k, (np.empty(hi.size), np.empty(hi.size)))
+    return hi
+
+
+def _settle(hi, lo, eps, bases, exponents, work) -> None:
+    """Keep each power hi that is certainly bases**exponents rounded; redo the rest.
+
+    hi + lo is within an error bound E of the power, and eps * hi exceeds
+    E by at least 2 u**2 hi (or hi + lo is exact).  hi is then the rounded
+    power when hi + (lo - eps * hi) and hi + (lo + eps * hi) both round to
+    hi: that test's own roundings move its ends by about u**2 hi, and
+    rounding is monotone, so it is certain.  A term fails it with odds near eps / u,
+    unless it is near a rounding midpoint or on one (a short-mantissa base
+    such as 0.75 has them), or hi < _TINY, where products lose bits.  Those
+    terms are taken by _power; but a term with k log2(x) < -1080 is below
+    2**-1076 and rounds to 0 (the margin dwarfs any log2's error, so this
+    does not depend on libm).  work holds two scratch rows of hi's length.
+    """
+    a, b = work
+    np.multiply(hi, eps, out=a)
+    np.subtract(lo, a, out=b)
+    b += hi
+    doubt = b != hi
+    np.add(lo, a, out=b)
+    b += hi
+    doubt |= b != hi
+    doubt |= hi < _TINY
+    doubted = np.flatnonzero(doubt)
+    if not doubted.size:
+        return
+    x = np.broadcast_to(bases, hi.shape)[doubted]
+    k = np.broadcast_to(exponents, hi.shape)[doubted]
+    hi[doubted] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # log2(0) is -inf
+        near = ~(k * np.log2(x) < -1080.0)
+    for i, base, exponent in zip(doubted[near].tolist(), x[near].tolist(), k[near].tolist()):
+        hi[i] = _power(base, exponent)
 
 
 def _units(x: float) -> int:
@@ -381,9 +674,9 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
     Direct sum of the per-value missing probabilities, folded across the
     midpoint; terms below 1e-30 are dropped (the truncated tail is smaller
     than 2N * 1e-30).  Tends to 4/p^2 as p -> 0 with N p^2 -> infinity.
-    Powers come from math.pow, term by term, and the rest is correctly
+    Powers are correctly rounded (_powers), and the rest is correctly
     rounded elementwise arithmetic, so every term has the bits of the
-    per-value loop over missing_sum_probability_h2.
+    per-value loop over missing_sum_probability_h2, on any platform.
 
     The terms are summed exactly, in chunks of _CHUNK powers q**j, j
     rising, and the result is that sum rounded once: the bits of an fsum
@@ -392,7 +685,8 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
     left from the next exponent J on are 2 q**j and 2 (q**j (1-p)) for
     J <= j <= N//2, at most 4 q**j each, and so sum to at most
     4 q**J min(N//2 + 1 - J, 1/(1 - q)).  The bound is raised by _SLACK,
-    which covers libm pow's error of under 1 ulp on every term and on
+    which covers the terms' roundings (half an ulp in each power and half
+    an ulp more in its product by 1-p), libm pow's error of under 1 ulp on
     q**J, and the few roundings of the bound itself (about 10 * 2**-53 in
     all).  Every stop is exact, and a sum that never settles adds exactly
     the terms down to the 1e-30 cutoff.
@@ -407,21 +701,84 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
     half, last_even = N // 2, (N - 1) // 2  # largest m with 2m-1 < N, with 2m < N
     # The values 0 and N, which the bound below does not cover.
     total = _units(2.0 * (1.0 - p)) + _units(missing_sum_probability_h2(N, N, p))
-    for lo in range(1, half + 1, _CHUNK):
+    # q**reach < e**-70 < 1e-30, so no later power is needed.
+    reach = half if q == 1.0 else min(half, math.ceil(70.0 / -math.log(q)))
+    odds, evens = np.empty((2, min(_CHUNK, reach)))
+    for lo in range(1, reach + 1, _CHUNK):
         # odd[i] = q**(lo+i) is the missing probability of the odd value
         # 2(lo+i)-1 < N, and odd[i] * (1-p) that of 2(lo+i) if below N.
         # Odd values dominate every later term: stop at the first < 1e-30.
-        odd = _powers(q, np.arange(lo, min(lo + _CHUNK, half + 1)))
+        size = min(_CHUNK, reach + 1 - lo)
+        odd = _powers(q, lo, 1, size, out=odds[:size])
         below = np.flatnonzero(odd < 1e-30)
-        stop = below[0] if below.size else odd.size
-        total += 2 * _exact_sum(odd[: min(stop, last_even - lo + 1)] * (1.0 - p))
+        stop = below[0] if below.size else size
+        even = min(stop, last_even - lo + 1)
+        total += 2 * _exact_sum(np.multiply(odd[:even], 1.0 - p, out=evens[:even]))
         total += 2 * _exact_sum(odd[: stop + 1])
         if below.size:
             break
-        J = lo + odd.size
+        J = lo + size
         if _settled(total, _SLACK * 4.0 * math.pow(q, J) * _geometric(half + 1 - J, 1.0 - q)):
             break
     return total / _UNIT
+
+
+def _difference_terms(N: int, q: float, pq: float, first: int):
+    """The terms of expected_missing_diffs_h2 for n = N down to first, in
+    chunks of at most _CHUNK powers, each yielded with the next n, lazily.
+
+    Walks the chain lengths from n = N down, running the recurrence f
+    once up to each.  Whole chain lengths, as many as fit in a chunk, are
+    powered at once (_run_powers): f(length + 1)'s exponents rise from
+    each length's top n and f(length)'s from its bottom n.  A chain length
+    with more powers than a chunk holds is taken _CHUNK n at a time, its
+    two runs of powers from cached tables (_powers).  At length 1 prev is
+    1.0, and 1.0 ** k is exactly 1.0, so no power of it is taken.
+    """
+    missings, factors = np.empty((2, min(_CHUNK, N + 1 - first)))
+    runs, size, powers = [], 0, 0  # the next chunk's chain lengths, its n and their powers
+    prev, cur, steps, n = 1.0, 1.0, 0, N
+    while n >= first:
+        length = (N + 1) // n
+        count = n + 1 - max(first, (N + 1) // (length + 1) + 1)
+        taken = count if length == 1 else 2 * count
+        if runs and powers + taken > _CHUNK:
+            yield _chain_terms(N, runs, size), n
+            runs, size, powers = [], 0, 0
+        for _ in range(length - steps):
+            prev, cur = cur, q * cur + pq * prev
+        steps = length
+        if taken <= _CHUNK:
+            runs.append((cur, prev, length, n, count))  # (f(length + 1), f(length), ...)
+            size += count
+            powers += taken
+            n -= count
+            continue
+        for top in range(n, n - count, -_CHUNK):
+            part = min(_CHUNK, top + count - n)
+            missing = _powers(cur, N + 1 - length * top, length, part, out=missings[:part])
+            if length > 1:
+                missing *= _powers(prev, (length + 1) * top - (N + 1), -(length + 1), part,
+                                   out=factors[:part])
+            yield missing, top - part
+        n -= count
+    if runs:
+        yield _chain_terms(N, runs, size), n
+
+
+def _chain_terms(N: int, runs: list, size: int) -> np.ndarray:
+    """The size terms of the whole chain lengths runs, from n = N down (see _difference_terms)."""
+    cur, prev, length, top, count = map(np.array, zip(*runs))
+    paired = length > 1
+    powers = _run_powers(
+        np.concatenate((cur, prev[paired][::-1])),
+        np.concatenate((N + 1 - length * top,
+                        ((length + 1) * (top + 1 - count) - (N + 1))[paired][::-1])),
+        np.concatenate((length, (length + 1)[paired][::-1])),
+        np.concatenate((count, count[paired][::-1])))
+    terms = powers[:size]
+    terms[2 * size - powers.size:] *= powers[size:][::-1]
+    return terms
 
 
 def expected_missing_diffs_h2(N: int, p: float) -> float:
@@ -430,33 +787,36 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
     A difference n >= 1 is present iff some residue chain {r, r+n, r+2n, ...}
     contains two adjacent chosen elements, and distinct chains are disjoint,
     so the missing probability is a product of per-chain no-adjacent-pair
-    probabilities (a linear three-term recurrence in the chain length).
-    Tends to 2(1-p^2)/p^2 as N -> infinity; 6 at p = 1/2.
+    probabilities f(L) for chains of L elements: f(0) = f(1) = 1 and
+    f(L+1) = q f(L) + pq f(L-1), q = 1-p.  Tends to 2(1-p^2)/p^2 as
+    N -> infinity; 6 at p = 1/2.
 
-    Every n with the same chain length (N+1)//n shares the recurrence's
-    value, so it runs once, up to the longest chain, and the n of one
-    length are done together with math.pow and elementwise products: each
-    term has the bits of a per-n loop.
+    Every n with the same chain length L = (N+1)//n shares the recurrence's
+    values, so it runs once, up to the longest chain.  Of the chains of n,
+    N+1 - Ln have L+1 elements and (L+1)n - (N+1) have L, so as n falls
+    the two exponents run by steps of L and L+1: the n of one length take
+    two runs of correctly rounded powers and one elementwise product
+    (_difference_terms), and each term has the bits of a per-n loop.
 
-    The terms are summed exactly in chunks of _CHUNK, from n = N down, and
+    The terms are summed exactly in chunks, from n = N down, and
     the result is that sum rounded once: the bits of an fsum of the same
     terms.  After each chunk the sum stops early once no tail the loop
-    could still add can change its rounding (_settled).  With m the next n
-    and r = 1 - p^2, that tail is bounded in two parts:
-    - chain length 1, n > (N+1)/2: the terms are 2 cur**j with cur the
-      computed r, and j = N+1-n rising from J = N+1-m, so they sum to at
-      most 2 cur**J min(count, 1/(1 - cur));
-    - every kept n <= min(m, (N+1)/2), at most 2 r**((N+1-n)/2) each (the
-      disjoint-pair bound below), a geometric run of ratio sqrt(r) <=
-      1 - p^2/2.
-    The bound is raised by _SLACK.  It covers libm pow's error of under
-    1 ulp, and the computed bases' error: each step of the recurrence adds
-    at most 4 roundings of 2**-53 to its values, so a term's powers of them
-    carry at most 4(N+1), and r**x with x <= (N+1)/2 taken from the
-    computed r at most 3x more.  With the bound's own roundings that is
-    under 5.5(N+1) + 20 roundings, less than 2**-20 for N < 2**30; above
-    that the stop is not used.  So every stop is exact, and a sum that
-    never settles adds exactly the kept terms.
+    could still add can change its rounding (_settled).  Let lam be the
+    largest root of x^2 = qx + pq.  By induction f(L) <= lam**(L-1) (for
+    L = 0 and 1 since lam < 1), so the term of n, f(L+1)**(N+1-Ln) *
+    f(L)**((L+1)n - (N+1)), is at most lam**(N+1-n); lam > 1 - p^2, the
+    term of chain length 1.  With m the next n, the kept terms left sum to
+    at most 2 lam**(N+1-m) min(count, 1/(1 - lam)).
+
+    That holds for the computed values too, with lam raised by 2**-48
+    relative (clipped at 1): the computed q, pq define the recurrence, each
+    step's two roundings raise its values by at most (1 + 2**-53)**2, which
+    lifts its largest root by at most as much, and lam's own evaluation is
+    within a few roundings.  Each term is within 3 more roundings of its
+    bound (two powers and their product), and the bound is raised by
+    _SLACK, which covers them, libm pow's error of under 1 ulp and the
+    bound's own roundings.  So every stop is exact, and a sum that never
+    settles adds exactly the kept terms.
     """
     if N < 0:
         raise ValueError(f"N: must be non-negative, got {N}")
@@ -473,39 +833,16 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
         return not (N + 1 - n) * pair_free / 2.0 < -70.0
 
     first = 1 + bisect_left(range(1, N + 1), True, key=kept)
-    r, mid = q + pq, (N + 1) // 2  # r is cur at chain length 1, the length of every n > mid
-    single = max(first, mid + 1)  # the smallest kept n of chain length 1
+    lam = min(1.0, (q + math.sqrt(q * q + 4.0 * pq)) / 2.0 * (1.0 + 2.0**-48))
 
     def rest(m):  # a bound on every kept term at n <= m
-        bound = 0.0
-        if m >= single:  # 2 r**(N+1-n) for n in [single, m]
-            bound = 2.0 * math.pow(r, N + 1 - m) * _geometric(m + 1 - single, 1.0 - r)
-        top = min(m, mid)
-        if top >= first:
-            if N >= 2**30:
-                return math.inf
-            bound += 2.0 * math.pow(r, (N + 1 - top) / 2) * _geometric(top + 1 - first,
-                                                                       0.5 * p * p)
-        return _SLACK * bound
+        if m < first:
+            return 0.0
+        return _SLACK * 2.0 * math.pow(lam, N + 1 - m) * _geometric(m + 1 - first, 1.0 - lam)
 
-    total = _units(q ** (N + 1))  # 0 is missing iff A is empty
-    prev, cur, steps = 1.0, 1.0, 0  # no-pair probabilities for chain lengths 0 and 1
-    for top in range(N, first - 1, -_CHUNK):  # from n = N down, largest first
-        n = np.arange(top, max(first, top - _CHUNK + 1) - 1, -1)
-        missing = np.empty(n.size)
-        cuts = [0, *(np.flatnonzero(np.diff((N + 1) // n)) + 1).tolist(), n.size]
-        for a, b in zip(cuts, cuts[1:]):  # the n of one chain length
-            length = (N + 1) // int(n[a])
-            for _ in range(length - steps):
-                prev, cur = cur, q * cur + pq * prev
-            steps = length
-            # N+1 - length*n chains have length + 1 elements and the
-            # other (length+1)*n - (N+1) have length.
-            longer = N + 1 - length * n[a:b]
-            missing[a:b] = _powers(cur, longer)
-            if length > 1:  # else prev is 1.0, and 1.0 ** k is exactly 1.0
-                missing[a:b] *= _powers(prev, n[a:b] - longer)
+    total = _units(_power(q, N + 1))  # 0 is missing iff A is empty
+    for missing, n in _difference_terms(N, q, pq, first):
         total += 2 * _exact_sum(missing)
-        if _settled(total, rest(top - n.size)):
+        if _settled(total, rest(n)):
             break
     return total / _UNIT

@@ -1,4 +1,7 @@
 import math
+import random
+from collections import Counter
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -374,18 +377,139 @@ def test_missing_sum_law_hypothesis(N, p):
         assert abs(missing_sum_probability_h2(n, N, p) - oracle[n]) < 1e-12
 
 
+def _rounded_once(x, k):
+    """x**k rounded once to a double: by exact rationals where they are cheap,
+    else by 80-digit decimal powering, asserted far enough from every
+    rounding midpoint for its few roundings not to matter."""
+    if k <= 256:
+        return float(Fraction(x) ** k)
+    with localcontext(Context(prec=80)):
+        power = Decimal(x) ** k
+        y = float(power)
+        if y == 0.0:
+            assert power < Decimal(2) ** -1075 * (1 - Decimal(10) ** -60)
+            return y
+        for side in (-1, 1):
+            midpoint = (Decimal(y) + Decimal(math.nextafter(y, side * math.inf))) / 2
+            assert abs(power - midpoint) > power * Decimal(10) ** -60, (x, k)
+    return y
+
+
+# Bases 1 - p^2 over a sweep of p, slow_h2's among them; and 0.75 and 0.5625,
+# whose short mantissas put some powers exactly on a rounding midpoint.
+_POWER_BASES = [1.0 - p * p for p in (1e-4, (10**6) ** -0.3, 0.02, 0.1, 0.3, 0.5, 0.9)]
+_POWER_BASES += [0.75, 0.5625]
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, -1, -2, -3])
+@pytest.mark.parametrize("base", _POWER_BASES)
+def test_powers_round_once(base, step):
+    rng = random.Random(f"{base}/{step}")
+    # Runs from about 2**-1000 into the subnormals, for bases whose powers
+    # get there by 2**20.
+    below_normal = min(int(-1000 / math.log2(base)), 2**20 - (1 << 14) * abs(step))
+    starts = [0, 1, 30, below_normal, rng.randrange(2**20), 2**20 - (1 << 14) * abs(step)]
+    for start in starts:
+        for count in (1, 300, 5000, 1 << 14):
+            first = start if step > 0 else start + (count - 1) * -step
+            powers = density._powers(base, first, step, count)
+            for i in {0, count - 1, *rng.sample(range(count), min(count, 8))}:
+                k = first + i * step
+                assert powers[i] == _rounded_once(base, k), (base, k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_powers_round_once(seed):
+    # Many runs of different bases powered together, as the differences law
+    # takes its whole chain lengths: single terms, short runs and one long
+    # run, with starts and steps from 0 up.
+    rng = random.Random(seed)
+    runs = [(rng.choice(_POWER_BASES), rng.choice([0, 1, 34, rng.randrange(3000)]),
+             rng.choice([0, 1, 2, 3, rng.randrange(1, 200)]), rng.choice([1, 1, 2, 3, 17, 64]))
+            for _ in range(120)]
+    runs += [(0.75, 2, 16, 1), (0.5625, 17, 0, 1), (0.75, 0, 1, 300)]  # exact midpoints
+    runs += [(_POWER_BASES[1], 1, 1, 5000), (0.75, 2400, 1, 40)]  # 5000 terms; into the subnormals
+    bases, starts, steps, counts = map(list, zip(*runs))
+    powers = density._run_powers(bases, starts, steps, counts).tolist()
+    assert len(powers) == sum(counts)
+    at = 0
+    for x, start, step, count in runs:
+        for i in {0, count - 1, *rng.sample(range(count), min(count, 6))}:
+            k = start + i * step
+            assert powers[at + i] == _rounded_once(x, k), (x, k)
+        at += count
+
+
+@pytest.mark.parametrize("powers", [
+    lambda: density._powers(0.75, 0, 1, 64),
+    lambda: density._run_powers([0.75, 0.5], [0, 3], [1, 1], [64, 2]),
+])
+def test_powers_settle_exact_midpoints_exactly(monkeypatch, powers):
+    # 0.75**34 = 3**34 / 2**68 has 54 significant bits: it lies on a rounding
+    # midpoint, which no double-double error bound can decide.
+    exact = []
+    power = density._power
+    monkeypatch.setattr(density, "_power", lambda x, k: exact.append(k) or power(x, k))
+    assert powers()[34] == float(Fraction(3, 4) ** 34)
+    assert 34 in exact
+
+
+@pytest.mark.parametrize("N, p", [(10**6, (10**6) ** -0.3), (100, 0.5), (9, 0.71)])
+def test_missing_sum_probability_rounds_its_power_once(N, p):
+    q = 1.0 - p * p
+    for n in [*range(12), N - 1, N, 2 * N - 7]:
+        m = min(n, 2 * N - n)
+        expected = (_rounded_once(q, (m + 1) // 2) if m % 2
+                    else _rounded_once(q, m // 2) * (1.0 - p))
+        assert missing_sum_probability_h2(n, N, p) == expected, n
+
+
 # The per-value loops the two exact laws were first written as.  The laws now
-# share chain recurrences, take each power from math.pow, sum their terms
-# exactly in chunks and stop once the rest cannot change the rounded sum,
-# and must keep every bit.
+# share chain recurrences, take runs of correctly rounded powers, sum their
+# terms exactly in chunks and stop once the rest cannot change the rounded
+# sum, and must keep every bit.  The loops take each power on its own,
+# correctly rounded, since libm's pow may round either way.
+
+
+def _rounded_powers(N):
+    """A function x, k -> x**k correctly rounded.  Up to N = 10**4 it is
+    density._power, which rounds exact integer bounds of the power and
+    shares no code with the laws' double-double runs.  Above, a million
+    calls of it would take about 10 s, so each x asked for more than 64
+    times reads a table of density._powers(x, 0, 1, .) from then on
+    (test_powers_round_once checks those tables against exact rationals).
+    """
+    if N <= 10**4:
+        return density._power
+    tables, asked = {}, Counter()
+
+    def power(x, k):
+        try:
+            return tables[x][k]
+        except (KeyError, IndexError):
+            asked[x] += 1
+            if asked[x] <= 64:
+                return density._power(x, k)
+            tables[x] = memoryview(density._powers(x, 0, 1, 2 * k + 2))
+            return tables[x][k]
+
+    return power
 
 
 def _expected_missing_sums_loop(N, p):
     if N == 0:
         return 1.0 - p
-    terms = [missing_sum_probability_h2(N, N, p)]
+    q = 1.0 - p * p
+    power = _rounded_powers(N)
+
+    def probability(n):  # missing_sum_probability_h2(n, N, p)
+        if n > N:
+            n = 2 * N - n
+        return power(q, (n + 1) // 2) if n % 2 else power(q, n // 2) * (1.0 - p)
+
+    terms = [probability(N)]
     for n in range(N):
-        t = missing_sum_probability_h2(n, N, p)
+        t = probability(n)
         terms.append(2.0 * t)
         if t < 1e-30 and n % 2 == 1:
             break
@@ -394,8 +518,9 @@ def _expected_missing_sums_loop(N, p):
 
 def _expected_missing_diffs_loop(N, p):
     q = 1.0 - p
+    power = _rounded_powers(N)
     pair_free = math.log1p(-p * p)
-    terms = [q ** (N + 1)]
+    terms = [power(q, N + 1)]
     for n in range(1, N + 1):
         if (N + 1 - n) * pair_free / 2.0 < -70.0:
             continue
@@ -403,7 +528,7 @@ def _expected_missing_diffs_loop(N, p):
         prev, cur = 1.0, 1.0
         for _ in range(length):
             prev, cur = cur, q * cur + p * q * prev
-        missing = cur**longer * prev ** (n - longer)
+        missing = power(cur, longer) * power(prev, n - longer)
         terms.append(2.0 * missing)
     return math.fsum(terms)
 
@@ -445,17 +570,25 @@ def test_missing_laws_equal_the_loops_small_n(N, p):
 
 
 def test_missing_laws_stop_once_settled(monkeypatch):
+    counted = []
+    powers, run_powers = density._powers, density._run_powers
+    monkeypatch.setattr(density, "_powers", lambda base, start, step, count, out=None:
+                        counted.append(count) or powers(base, start, step, count, out))
+    monkeypatch.setattr(density, "_run_powers", lambda bases, starts, steps, counts:
+                        counted.append(sum(counts)) or run_powers(bases, starts, steps, counts))
     # At slow_h2's N and p the laws stop long before their cutoffs: they
     # evaluated 892,928 powers when they ran to them.
-    counted = []
-    powers = density._powers
-    monkeypatch.setattr(density, "_powers",
-                        lambda base, k: counted.append(k.size) or powers(base, k))
     N = 10**6
     p = N**-0.3
     expected_missing_sums_h2(N, p)
     expected_missing_diffs_h2(N, p)
     assert sum(counted) <= 400_000
+    # Every n is kept and chain length 1 ends at n = 10**5.  The differences
+    # law evaluated 293,216 powers here while its stop bounded the terms of
+    # longer chains by the square root of their disjoint-pair bound.
+    counted.clear()
+    expected_missing_diffs_h2(2 * 10**5, 0.02)
+    assert sum(counted) <= 100_000
 
 
 # Non-negative finite doubles: zeros, subnormals, the largest binades, and
