@@ -9,11 +9,11 @@ once.  Also here: the exact missing-value laws for two-summand slow decay,
 sums of terms built from correctly rounded powers, largest first, added
 exactly in chunks and rounded once; each law stops as soon as a bound on
 the terms it has not yet added proves that they cannot change the rounded
-sum.  The powers come in runs of double-doubles: a long run from a cached
-table, the differences law's many short runs (one per chain length)
-doubled together.  Each rounding is certified against an error bound, and
-exact integer bounds decide the few it cannot, so no term depends on the
-platform's libm.
+sum.  The powers come in runs, each a cached table of double-doubles
+times the run's first power (_powers): the sums law's one run, and two
+runs per chain length for the differences law.  Each rounding is certified
+against one relative error bound, _EPS = 2**-96, and exact integer bounds
+decide the few it cannot, so no term depends on the platform's libm.
 libm is left in the stop bounds (pow), whose error _SLACK covers, and in
 the differences law's cutoff of negligible n (log1p).
 
@@ -417,8 +417,8 @@ def _dd_power(x: float, k: int) -> tuple[float, float]:
     return h, _scaled(hi - (a << (-e - t)), e)
 
 
-def _dd_times(a_hi, a_lo, b: tuple, hi, lo, work) -> None:
-    """hi + lo = (a_hi + a_lo) * (b[0] + b[1]): double-doubles in arrays (b's may be floats).
+def _dd_times(a_hi, a_lo, b: tuple[float, float], hi, lo, work) -> None:
+    """hi + lo = (a_hi + a_lo) * (b[0] + b[1]): arrays of double-doubles times one.
 
     Dekker's product: a_hi and b[0] are split into 26-bit halves
     (Veltkamp), so a_hi * b[0] - fl(a_hi * b[0]) is computed exactly, and the
@@ -426,8 +426,8 @@ def _dd_times(a_hi, a_lo, b: tuple, hi, lo, work) -> None:
     below u**2 of the product, is dropped.  With |a_lo| <= u |a_hi| and
     |b[1]| <= u |b[0]|, the result is within 9 u**2 of the product relative,
     and hi, lo are renormalized, |lo| <= ulp(hi)/2.  Exact splits and
-    products need the product to be at least about 2**-969.  work holds two
-    scratch rows of the arrays' length.
+    products need the product to be at least about 2**-969.  b is split
+    once, as two floats; work holds two scratch rows of the arrays' length.
     """
     b_hi, b_lo = b
     b_big = b_hi * _SPLIT
@@ -487,7 +487,7 @@ def _powers(base: float, start: int, step: int, count: int, out=None) -> np.ndar
     Each block of _BLOCK exponents is one vectorized _dd_times of the
     _table of (base, |step|) by _dd_power(base, first exponent).  That is
     within (11 * 12 + 1 + 9) u**2 < 2**-98 of the power relative, and
-    _settle certifies it with eps = _EPS = 2**-96.
+    _settle certifies it against _EPS = 2**-96.
     """
     out = np.empty(count) if out is None else out
     run = out
@@ -501,106 +501,27 @@ def _powers(base: float, start: int, step: int, count: int, out=None) -> np.ndar
         hi = run[first:first + n]
         _dd_times(t_hi[:n], t_lo[:n], _dd_power(base, start + first * step), hi, lo[:n],
                   (a[:n], b[:n]))
-        _settle(hi, lo[:n], _EPS, base, start + step * (first + np.arange(n)), (a[:n], b[:n]))
+        _settle(hi, lo[:n], base, start + step * (first + np.arange(n)), (a[:n], b[:n]))
     return out
 
 
-def _dd_powers(bases, exponents) -> tuple[np.ndarray, np.ndarray]:
-    """bases[i]**exponents[i] as double-doubles hi + lo, vectorized across the terms.
+def _settle(hi, lo, base, exponents, work) -> None:
+    """Keep each power hi that is certainly base**exponents rounded; redo the rest.
 
-    For doubles 0 <= bases <= 1 and integer exponents >= 0, by binary
-    powering: each step squares x**(2**j) and multiplies it into the power
-    where bit j of k is set, both in one _dd_times on two stacked rows.
-    x**k is then a product tree of k leaves x, each exact, and a _dd_times
-    adds at most 9 u**2 to its factors' relative errors, so hi + lo is
-    within 9 u**2 (k - 1) of x**k relative (and exactly 1 at k = 0), while
-    no product falls below about 2**-969.
-    """
-    x = np.asarray(bases, dtype=float)
-    k = np.asarray(exponents, dtype=np.int64)
-    bits = int(k.max()).bit_length() if k.size else 0
-    take = ((k >> np.arange(bits)[:, None]) & 1).astype(bool)  # take[j]: bit j of k is set
-    hi = np.stack((np.ones(x.size), x))  # the power so far and x**(2**j)
-    lo = np.zeros((2, x.size))
-    product_hi, product_lo, *work = np.empty((4, 2, x.size))
-    for j in range(bits):
-        _dd_times(hi, lo, (hi[1], lo[1]), product_hi, product_lo, work)  # both rows by the square
-        np.copyto(hi[0], product_hi[0], where=take[j])
-        np.copyto(lo[0], product_lo[0], where=take[j])
-        hi[1], lo[1] = product_hi[1], product_lo[1]
-    return hi[0], lo[0]
-
-
-def _run_powers(bases, starts, steps, counts) -> np.ndarray:
-    """Runs of powers bases[r]**(starts[r] + i*steps[r]) for i < counts[r],
-    one after another, each correctly rounded, half to even.
-
-    For doubles 0 <= bases <= 1, exponents >= 0 and counts >= 1: many
-    short runs of different bases at once, where a _table each would cost
-    more than its powers.  Every run's first power and base**step come
-    from one _dd_powers, so its cost grows with the bits of the largest
-    start and step, not with the number of runs.  Then all runs are doubled
-    together: entries [m, 2m) of each run longer than m are its entries
-    [0, m) times base**(step*m), which is then squared, in one _dd_times.
-    Entry i's factors are the first power and step powers whose exponents
-    sum to k = start + i*step, each within 9 u**2 times its exponent less
-    one (the first is exactly 1 at start 0), and the entry has one
-    _dd_times per factor after the first: it is within 9 u**2 k relative,
-    and _settle certifies it with eps = 16 u**2 k.
-    """
-    x = np.asarray(bases, dtype=float)
-    starts = np.asarray(starts, dtype=np.int64)
-    steps = np.asarray(steps, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    at = (np.cumsum(counts) - counts).astype(np.int32)  # entries fit int32: half the bytes
-    run = np.repeat(np.arange(x.size, dtype=np.int32), counts)
-    entry = np.arange(run.size, dtype=np.int32) - at[run]
-    # base**step is needed only for runs longer than 1, and its bits cost.
-    first_hi, first_lo = _dd_powers(np.concatenate((x, x)),
-                                    np.concatenate((starts, np.where(counts > 1, steps, 0))))
-    hi, lo = np.empty((2, run.size))
-    hi[at], lo[at] = first_hi[:x.size], first_lo[:x.size]
-    step_hi, step_lo = first_hi[x.size:], first_lo[x.size:]  # base**(step*m)
-    level = np.frexp(entry)[1]  # entries [m, 2m) are level log2(m) + 1; the first, 0
-    order = np.argsort(level, kind="stable").astype(np.int32)
-    ends = np.cumsum(np.bincount(level)).tolist()
-    del level
-    m = 1
-    for begin, end in zip(ends, ends[1:]):
-        target = order[begin:end]
-        source = target - m
-        a = np.concatenate((hi[source], step_hi)), np.concatenate((lo[source], step_lo))
-        factor = run[target]
-        b = (np.concatenate((step_hi[factor], step_hi)),
-             np.concatenate((step_lo[factor], step_lo)))
-        product_hi, product_lo, *work = np.empty((4, a[0].size))
-        _dd_times(*a, b, product_hi, product_lo, work)
-        del a, b, work  # before the next level's
-        hi[target], lo[target] = product_hi[:target.size], product_lo[:target.size]
-        step_hi, step_lo = product_hi[target.size:], product_lo[target.size:]
-        m *= 2
-    del order
-    k = starts[run] + steps[run] * entry
-    _settle(hi, lo, k * 2.0**-102, x[run], k, (np.empty(hi.size), np.empty(hi.size)))
-    return hi
-
-
-def _settle(hi, lo, eps, bases, exponents, work) -> None:
-    """Keep each power hi that is certainly bases**exponents rounded; redo the rest.
-
-    hi + lo is within an error bound E of the power, and eps * hi exceeds
-    E by at least 2 u**2 hi (or hi + lo is exact).  hi is then the rounded
-    power when hi + (lo - eps * hi) and hi + (lo + eps * hi) both round to
-    hi: that test's own roundings move its ends by about u**2 hi, and
-    rounding is monotone, so it is certain.  A term fails it with odds near eps / u,
-    unless it is near a rounding midpoint or on one (a short-mantissa base
-    such as 0.75 has them), or hi < _TINY, where products lose bits.  Those
-    terms are taken by _power; but a term with k log2(x) < -1080 is below
-    2**-1076 and rounds to 0 (the margin dwarfs any log2's error, so this
-    does not depend on libm).  work holds two scratch rows of hi's length.
+    hi + lo is within 2**-98 of the power relative (_powers), so _EPS * hi,
+    2**-96 hi, exceeds its error by at least 2 u**2 hi.  hi is then the
+    rounded power when hi + (lo - _EPS * hi) and hi + (lo + _EPS * hi) both
+    round to hi: that test's own roundings move its ends by about u**2 hi,
+    and rounding is monotone, so it is certain.  A term fails it with odds
+    near _EPS / u = 2**-43, unless it is near a rounding midpoint or on one
+    (a short-mantissa base such as 0.75 has them), or hi < _TINY, where
+    products lose bits.  Those terms are taken by _power; but a term with
+    k log2(base) < -1080 is below 2**-1076 and rounds to 0 (the margin
+    dwarfs any log2's error, so this does not depend on libm).  work holds
+    two scratch rows of hi's length.
     """
     a, b = work
-    np.multiply(hi, eps, out=a)
+    np.multiply(hi, _EPS, out=a)
     np.subtract(lo, a, out=b)
     b += hi
     doubt = b != hi
@@ -611,12 +532,11 @@ def _settle(hi, lo, eps, bases, exponents, work) -> None:
     doubted = np.flatnonzero(doubt)
     if not doubted.size:
         return
-    x = np.broadcast_to(bases, hi.shape)[doubted]
-    k = np.broadcast_to(exponents, hi.shape)[doubted]
+    k = exponents[doubted]
     hi[doubted] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):  # log2(0) is -inf
-        near = ~(k * np.log2(x) < -1080.0)
-    for i, base, exponent in zip(doubted[near].tolist(), x[near].tolist(), k[near].tolist()):
+        near = ~(k * np.log2(base) < -1080.0)
+    for i, exponent in zip(doubted[near].tolist(), k[near].tolist()):
         hi[i] = _power(base, exponent)
 
 
@@ -725,35 +645,24 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
 
 def _difference_terms(N: int, q: float, pq: float, first: int):
     """The terms of expected_missing_diffs_h2 for n = N down to first, in
-    chunks of at most _CHUNK powers, each yielded with the next n, lazily.
+    chunks of at most _CHUNK n of one chain length, each yielded with the
+    next n, lazily.
 
     Walks the chain lengths from n = N down, running the recurrence f
-    once up to each.  Whole chain lengths, as many as fit in a chunk, are
-    powered at once (_run_powers): f(length + 1)'s exponents rise from
-    each length's top n and f(length)'s from its bottom n.  A chain length
-    with more powers than a chunk holds is taken _CHUNK n at a time, its
-    two runs of powers from cached tables (_powers).  At length 1 prev is
-    1.0, and 1.0 ** k is exactly 1.0, so no power of it is taken.
+    once up to each, and takes each length's n _CHUNK at a time, as two
+    runs of powers from cached tables (_powers): f(length + 1)'s exponents
+    rise by length as n falls, and f(length)'s fall by length + 1.  At
+    length 1 prev is 1.0, and 1.0 ** k is exactly 1.0, so no power of it
+    is taken.
     """
     missings, factors = np.empty((2, min(_CHUNK, N + 1 - first)))
-    runs, size, powers = [], 0, 0  # the next chunk's chain lengths, its n and their powers
     prev, cur, steps, n = 1.0, 1.0, 0, N
     while n >= first:
         length = (N + 1) // n
         count = n + 1 - max(first, (N + 1) // (length + 1) + 1)
-        taken = count if length == 1 else 2 * count
-        if runs and powers + taken > _CHUNK:
-            yield _chain_terms(N, runs, size), n
-            runs, size, powers = [], 0, 0
         for _ in range(length - steps):
             prev, cur = cur, q * cur + pq * prev
         steps = length
-        if taken <= _CHUNK:
-            runs.append((cur, prev, length, n, count))  # (f(length + 1), f(length), ...)
-            size += count
-            powers += taken
-            n -= count
-            continue
         for top in range(n, n - count, -_CHUNK):
             part = min(_CHUNK, top + count - n)
             missing = _powers(cur, N + 1 - length * top, length, part, out=missings[:part])
@@ -762,23 +671,6 @@ def _difference_terms(N: int, q: float, pq: float, first: int):
                                    out=factors[:part])
             yield missing, top - part
         n -= count
-    if runs:
-        yield _chain_terms(N, runs, size), n
-
-
-def _chain_terms(N: int, runs: list, size: int) -> np.ndarray:
-    """The size terms of the whole chain lengths runs, from n = N down (see _difference_terms)."""
-    cur, prev, length, top, count = map(np.array, zip(*runs))
-    paired = length > 1
-    powers = _run_powers(
-        np.concatenate((cur, prev[paired][::-1])),
-        np.concatenate((N + 1 - length * top,
-                        ((length + 1) * (top + 1 - count) - (N + 1))[paired][::-1])),
-        np.concatenate((length, (length + 1)[paired][::-1])),
-        np.concatenate((count, count[paired][::-1])))
-    terms = powers[:size]
-    terms[2 * size - powers.size:] *= powers[size:][::-1]
-    return terms
 
 
 def expected_missing_diffs_h2(N: int, p: float) -> float:
@@ -795,18 +687,20 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
     values, so it runs once, up to the longest chain.  Of the chains of n,
     N+1 - Ln have L+1 elements and (L+1)n - (N+1) have L, so as n falls
     the two exponents run by steps of L and L+1: the n of one length take
-    two runs of correctly rounded powers and one elementwise product
-    (_difference_terms), and each term has the bits of a per-n loop.
+    two runs of powers from cached tables (_powers), each rounding
+    certified against _EPS = 2**-96, and one elementwise product
+    (_difference_terms), so each term has the bits of a per-n loop.
 
-    The terms are summed exactly in chunks, from n = N down, and
-    the result is that sum rounded once: the bits of an fsum of the same
-    terms.  After each chunk the sum stops early once no tail the loop
-    could still add can change its rounding (_settled).  Let lam be the
-    largest root of x^2 = qx + pq.  By induction f(L) <= lam**(L-1) (for
-    L = 0 and 1 since lam < 1), so the term of n, f(L+1)**(N+1-Ln) *
-    f(L)**((L+1)n - (N+1)), is at most lam**(N+1-n); lam > 1 - p^2, the
-    term of chain length 1.  With m the next n, the kept terms left sum to
-    at most 2 lam**(N+1-m) min(count, 1/(1 - lam)).
+    The terms are summed exactly in chunks of at most _CHUNK n of one chain
+    length, from n = N down, and the result is that sum rounded once: the
+    bits of an fsum of the same terms.  After each chunk the sum stops
+    early once no tail the loop could still add can change its rounding
+    (_settled).  Let lam be the largest root of x^2 = qx + pq.  By
+    induction f(L) <= lam**(L-1) (for L = 0 and 1 since lam < 1), so the
+    term of n, f(L+1)**(N+1-Ln) * f(L)**((L+1)n - (N+1)), is at most
+    lam**(N+1-n); lam > 1 - p^2, the term of chain length 1.  With m the
+    next n, the kept terms left sum to at most 2 lam**(N+1-m) min(count,
+    1/(1 - lam)).
 
     That holds for the computed values too, with lam raised by 2**-48
     relative (clipped at 1): the computed q, pq define the recurrence, each

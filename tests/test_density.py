@@ -418,39 +418,13 @@ def test_powers_round_once(base, step):
                 assert powers[i] == _rounded_once(base, k), (base, k)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_run_powers_round_once(seed):
-    # Many runs of different bases powered together, as the differences law
-    # takes its whole chain lengths: single terms, short runs and one long
-    # run, with starts and steps from 0 up.
-    rng = random.Random(seed)
-    runs = [(rng.choice(_POWER_BASES), rng.choice([0, 1, 34, rng.randrange(3000)]),
-             rng.choice([0, 1, 2, 3, rng.randrange(1, 200)]), rng.choice([1, 1, 2, 3, 17, 64]))
-            for _ in range(120)]
-    runs += [(0.75, 2, 16, 1), (0.5625, 17, 0, 1), (0.75, 0, 1, 300)]  # exact midpoints
-    runs += [(_POWER_BASES[1], 1, 1, 5000), (0.75, 2400, 1, 40)]  # 5000 terms; into the subnormals
-    bases, starts, steps, counts = map(list, zip(*runs))
-    powers = density._run_powers(bases, starts, steps, counts).tolist()
-    assert len(powers) == sum(counts)
-    at = 0
-    for x, start, step, count in runs:
-        for i in {0, count - 1, *rng.sample(range(count), min(count, 6))}:
-            k = start + i * step
-            assert powers[at + i] == _rounded_once(x, k), (x, k)
-        at += count
-
-
-@pytest.mark.parametrize("powers", [
-    lambda: density._powers(0.75, 0, 1, 64),
-    lambda: density._run_powers([0.75, 0.5], [0, 3], [1, 1], [64, 2]),
-])
-def test_powers_settle_exact_midpoints_exactly(monkeypatch, powers):
+def test_powers_settle_exact_midpoints_exactly(monkeypatch):
     # 0.75**34 = 3**34 / 2**68 has 54 significant bits: it lies on a rounding
     # midpoint, which no double-double error bound can decide.
     exact = []
     power = density._power
     monkeypatch.setattr(density, "_power", lambda x, k: exact.append(k) or power(x, k))
-    assert powers()[34] == float(Fraction(3, 4) ** 34)
+    assert density._powers(0.75, 0, 1, 64)[34] == float(Fraction(3, 4) ** 34)
     assert 34 in exact
 
 
@@ -476,8 +450,10 @@ def _rounded_powers(N):
     density._power, which rounds exact integer bounds of the power and
     shares no code with the laws' double-double runs.  Above, a million
     calls of it would take about 10 s, so each x asked for more than 64
-    times reads a table of density._powers(x, 0, 1, .) from then on
-    (test_powers_round_once checks those tables against exact rationals).
+    times reads a table of density._powers(x, 0, 1, .) from then on.  The
+    laws take their powers from the same function, so each table's first
+    and last entries and 32 sampled ones are checked against exact
+    rationals or 80-digit decimals (_rounded_once) when it is built.
     """
     if N <= 10**4:
         return density._power
@@ -490,7 +466,11 @@ def _rounded_powers(N):
             asked[x] += 1
             if asked[x] <= 64:
                 return density._power(x, k)
-            tables[x] = memoryview(density._powers(x, 0, 1, 2 * k + 2))
+            table = density._powers(x, 0, 1, 2 * k + 2)
+            rng = random.Random(f"{x}/{k}")
+            for i in {0, table.size - 1, *rng.sample(range(table.size), min(table.size, 32))}:
+                assert table[i] == _rounded_once(x, i), (x, i)
+            tables[x] = memoryview(table)
             return tables[x][k]
 
     return power
@@ -571,11 +551,9 @@ def test_missing_laws_equal_the_loops_small_n(N, p):
 
 def test_missing_laws_stop_once_settled(monkeypatch):
     counted = []
-    powers, run_powers = density._powers, density._run_powers
+    powers = density._powers
     monkeypatch.setattr(density, "_powers", lambda base, start, step, count, out=None:
                         counted.append(count) or powers(base, start, step, count, out))
-    monkeypatch.setattr(density, "_run_powers", lambda bases, starts, steps, counts:
-                        counted.append(sum(counts)) or run_powers(bases, starts, steps, counts))
     # At slow_h2's N and p the laws stop long before their cutoffs: they
     # evaluated 892,928 powers when they ran to them.
     N = 10**6
@@ -634,10 +612,10 @@ def test_a_total_far_from_a_midpoint_settles(x):
 
 
 def test_missing_laws_stream_their_terms():
-    # At slow_h2's N and p, each law holds no full-length array: its traced
-    # peak stays below 2 MB, where the 557k terms alone take 4.5 MB.
-    N = 10**6
-    p = N**-0.3
-    for law in (expected_missing_sums_h2, expected_missing_diffs_h2):
-        peak = peak_traced_bytes(lambda: law(N, p))
-        assert peak < 2 * 2**20, (law.__name__, peak)
+    # Each law holds no full-length array: its traced peak stays below
+    # 1.25 MB, where slow_h2's 557k terms alone take 4.5 MB.  At (10**5,
+    # 0.001) the differences law keeps every n, over 631 chain lengths.
+    for N, p in [(10**6, (10**6) ** -0.3), (10**5, 0.001)]:
+        for law in (expected_missing_sums_h2, expected_missing_diffs_h2):
+            peak = peak_traced_bytes(lambda: law(N, p))
+            assert peak < 1.25 * 2**20, (law.__name__, N, peak)
