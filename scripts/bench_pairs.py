@@ -8,7 +8,10 @@ Usage (from the repository root):
 Each side is a clean checkout of its revision (`git archive`) in a
 temporary directory, so nothing untracked or uncommitted reaches either
 run.  REV is anything `git archive` takes: a commit, a branch, or a tree
-such as `git write-tree` prints for the staged state.  For every workload
+such as `git write-tree` prints for the staged state.  Each REV is resolved
+once, before its checkout, to the hash `git rev-parse --verify` prints, and
+the file records the hashes, which keep naming the same revisions when HEAD
+or a branch moves.  For every workload
 in `BENCHMARK.json`, each of 10 pairs runs `perfbench/run.py --workload W
 --seconds S` once on each side, S being `BENCHMARK.json`'s run length; the
 base runs first in even pairs and the change in odd ones, so a drift of the
@@ -86,6 +89,14 @@ def run_child(cmd: list[str], **kwargs) -> subprocess.CompletedProcess:
             proc.wait()
             raise
     return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
+def resolve(rev: str) -> str:
+    """The hash of rev (`git rev-parse --verify`); exits if rev names nothing."""
+    proc = run_child(["git", "rev-parse", "--verify", rev], cwd=ROOT, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{rev}: not a revision\n{proc.stderr}")
+    return proc.stdout.strip()
 
 
 def checkout(rev: str, into: Path) -> Path:
@@ -230,6 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", default="HEAD", help="revision of the changed side")
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
     args = parser.parse_args(argv)
+    args.base, args.change = resolve(args.base), resolve(args.change)
     signal.signal(signal.SIGTERM, _stop)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as workdir:
         os.environ["TMPDIR"] = workdir  # what a killed child leaves goes with it

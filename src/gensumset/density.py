@@ -14,8 +14,7 @@ times the run's first power (_powers): the sums law's one run, and two
 runs per chain length for the differences law.  Each rounding is certified
 against one relative error bound, _EPS = 2**-96, and exact integer bounds
 decide the few it cannot, so no term depends on the platform's libm.
-libm is left in the stop bounds (pow), whose error _SLACK covers, and in
-the differences law's cutoff of negligible n (log1p).
+libm is left only in the stop bounds' pow, whose error _SLACK covers.
 
 Everything is a pure function; the constant tables are cached and safe for
 concurrent reads.
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left
 from decimal import Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -588,28 +586,66 @@ def _geometric(count: int, gap: float) -> float:
     return float(count) if gap * count <= 1.0 else 1.0 / gap
 
 
+def _settled_sum(total: int, chunks) -> float:
+    """total plus twice every term of chunks, summed exactly and rounded once.
+
+    total is in units of 2**-1126.  chunks yields pairs (terms, bound): an
+    array of doubles >= 0, which is overwritten, and a bound on twice the
+    sum of every term of the later chunks.  Each chunk is summed exactly
+    (_exact_sum), and the result is the whole sum rounded once: the bits of
+    an fsum of the same terms.  The sum stops early after a chunk whose
+    bound proves that no tail can change its rounding (_settled), so every
+    stop is exact, and a sum that never settles adds every term.
+    """
+    for terms, bound in chunks:
+        total += 2 * _exact_sum(terms)
+        if _settled(total, bound):
+            break
+    return total / _UNIT
+
+
+def _sum_terms(N: int, p: float):
+    """The terms of expected_missing_sums_h2 for the values 1 to N-1, for
+    _CHUNK exponents j at a time, each chunk yielded with the bound on the
+    terms after it, lazily.
+
+    q**j is the missing probability of the odd value 2j-1 < N, and
+    q**j * (1-p) that of 2j if below N.  A chunk of j comes as its odd
+    terms, with an infinite bound since its even terms are still to come,
+    then its even terms: summed at once, they would double _exact_sum's
+    temporaries past glibc's 128 KB mmap threshold, mapped afresh each call.
+    """
+    q = 1.0 - p * p
+    half, last_even = N // 2, (N - 1) // 2  # largest j with 2j-1 < N, with 2j < N
+    odds, evens = np.empty((2, min(_CHUNK, half)))
+    for lo in range(1, half + 1, _CHUNK):
+        size = min(_CHUNK, half + 1 - lo)
+        even = min(size, last_even + 1 - lo)
+        odd = _powers(q, lo, 1, size, out=odds[:size])
+        np.multiply(odd[:even], 1.0 - p, out=evens[:even])
+        yield odd, math.inf
+        J = lo + size
+        yield evens[:even], _SLACK * 4.0 * math.pow(q, J) * _geometric(half + 1 - J, 1.0 - q)
+
+
 def expected_missing_sums_h2(N: int, p: float) -> float:
     """Expected count of values in [0, 2N] missing from A+A; exact.
 
     Direct sum of the per-value missing probabilities, folded across the
-    midpoint; terms below 1e-30 are dropped (the truncated tail is smaller
-    than 2N * 1e-30).  Tends to 4/p^2 as p -> 0 with N p^2 -> infinity.
-    Powers are correctly rounded (_powers), and the rest is correctly
-    rounded elementwise arithmetic, so every term has the bits of the
-    per-value loop over missing_sum_probability_h2, on any platform.
+    midpoint, correctly rounded (_settled_sum).  Tends to 4/p^2 as p -> 0
+    with N p^2 -> infinity.  Powers are correctly rounded (_powers), and the
+    rest is correctly rounded elementwise arithmetic, so every term has the
+    bits of the per-value loop over missing_sum_probability_h2, on any
+    platform.
 
-    The terms are summed exactly, in chunks of _CHUNK powers q**j, j
-    rising, and the result is that sum rounded once: the bits of an fsum
-    of the same terms.  After each chunk the sum stops early once no tail
-    the loop could still add can change its rounding (_settled).  The terms
-    left from the next exponent J on are 2 q**j and 2 (q**j (1-p)) for
-    J <= j <= N//2, at most 4 q**j each, and so sum to at most
+    The terms come in chunks of _CHUNK powers q**j, j rising (_sum_terms).
+    The terms left from the next exponent J on are 2 q**j and 2 (q**j (1-p))
+    for J <= j <= N//2, at most 4 q**j each, and so sum to at most
     4 q**J min(N//2 + 1 - J, 1/(1 - q)).  The bound is raised by _SLACK,
     which covers the terms' roundings (half an ulp in each power and half
     an ulp more in its product by 1-p), libm pow's error of under 1 ulp on
     q**J, and the few roundings of the bound itself (about 10 * 2**-53 in
-    all).  Every stop is exact, and a sum that never settles adds exactly
-    the terms down to the 1e-30 cutoff.
+    all).
     """
     if N < 0:
         raise ValueError(f"N: must be non-negative, got {N}")
@@ -617,36 +653,15 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if N == 0:
         return 1.0 - p
-    q = 1.0 - p * p
-    half, last_even = N // 2, (N - 1) // 2  # largest m with 2m-1 < N, with 2m < N
-    # The values 0 and N, which the bound below does not cover.
+    # The values 0 and N, which the chunks do not hold.
     total = _units(2.0 * (1.0 - p)) + _units(missing_sum_probability_h2(N, N, p))
-    # q**reach < e**-70 < 1e-30, so no later power is needed.
-    reach = half if q == 1.0 else min(half, math.ceil(70.0 / -math.log(q)))
-    odds, evens = np.empty((2, min(_CHUNK, reach)))
-    for lo in range(1, reach + 1, _CHUNK):
-        # odd[i] = q**(lo+i) is the missing probability of the odd value
-        # 2(lo+i)-1 < N, and odd[i] * (1-p) that of 2(lo+i) if below N.
-        # Odd values dominate every later term: stop at the first < 1e-30.
-        size = min(_CHUNK, reach + 1 - lo)
-        odd = _powers(q, lo, 1, size, out=odds[:size])
-        below = np.flatnonzero(odd < 1e-30)
-        stop = below[0] if below.size else size
-        even = min(stop, last_even - lo + 1)
-        total += 2 * _exact_sum(np.multiply(odd[:even], 1.0 - p, out=evens[:even]))
-        total += 2 * _exact_sum(odd[: stop + 1])
-        if below.size:
-            break
-        J = lo + size
-        if _settled(total, _SLACK * 4.0 * math.pow(q, J) * _geometric(half + 1 - J, 1.0 - q)):
-            break
-    return total / _UNIT
+    return _settled_sum(total, _sum_terms(N, p))
 
 
-def _difference_terms(N: int, q: float, pq: float, first: int):
-    """The terms of expected_missing_diffs_h2 for n = N down to first, in
-    chunks of at most _CHUNK n of one chain length, each yielded with the
-    next n, lazily.
+def _difference_terms(N: int, q: float, pq: float):
+    """The terms of expected_missing_diffs_h2 for n = N down to 1, in chunks
+    of at most _CHUNK n of one chain length, each yielded with the bound on
+    the terms after it, lazily.
 
     Walks the chain lengths from n = N down, running the recurrence f
     once up to each, and takes each length's n _CHUNK at a time, as two
@@ -655,11 +670,12 @@ def _difference_terms(N: int, q: float, pq: float, first: int):
     length 1 prev is 1.0, and 1.0 ** k is exactly 1.0, so no power of it
     is taken.
     """
-    missings, factors = np.empty((2, min(_CHUNK, N + 1 - first)))
+    lam = min(1.0, (q + math.sqrt(q * q + 4.0 * pq)) / 2.0 * (1.0 + 2.0**-48))
+    missings, factors = np.empty((2, min(_CHUNK, N)))
     prev, cur, steps, n = 1.0, 1.0, 0, N
-    while n >= first:
+    while n >= 1:
         length = (N + 1) // n
-        count = n + 1 - max(first, (N + 1) // (length + 1) + 1)
+        count = n - (N + 1) // (length + 1)
         for _ in range(length - steps):
             prev, cur = cur, q * cur + pq * prev
         steps = length
@@ -669,7 +685,8 @@ def _difference_terms(N: int, q: float, pq: float, first: int):
             if length > 1:
                 missing *= _powers(prev, (length + 1) * top - (N + 1), -(length + 1), part,
                                    out=factors[:part])
-            yield missing, top - part
+            m = top - part  # the next n
+            yield missing, _SLACK * 2.0 * math.pow(lam, N + 1 - m) * _geometric(m, 1.0 - lam)
         n -= count
 
 
@@ -681,7 +698,8 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
     so the missing probability is a product of per-chain no-adjacent-pair
     probabilities f(L) for chains of L elements: f(0) = f(1) = 1 and
     f(L+1) = q f(L) + pq f(L-1), q = 1-p.  Tends to 2(1-p^2)/p^2 as
-    N -> infinity; 6 at p = 1/2.
+    N -> infinity; 6 at p = 1/2.  The result is the sum of every term,
+    correctly rounded (_settled_sum).
 
     Every n with the same chain length L = (N+1)//n shares the recurrence's
     values, so it runs once, up to the longest chain.  Of the chains of n,
@@ -691,16 +709,11 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
     certified against _EPS = 2**-96, and one elementwise product
     (_difference_terms), so each term has the bits of a per-n loop.
 
-    The terms are summed exactly in chunks of at most _CHUNK n of one chain
-    length, from n = N down, and the result is that sum rounded once: the
-    bits of an fsum of the same terms.  After each chunk the sum stops
-    early once no tail the loop could still add can change its rounding
-    (_settled).  Let lam be the largest root of x^2 = qx + pq.  By
-    induction f(L) <= lam**(L-1) (for L = 0 and 1 since lam < 1), so the
-    term of n, f(L+1)**(N+1-Ln) * f(L)**((L+1)n - (N+1)), is at most
-    lam**(N+1-n); lam > 1 - p^2, the term of chain length 1.  With m the
-    next n, the kept terms left sum to at most 2 lam**(N+1-m) min(count,
-    1/(1 - lam)).
+    Let lam be the largest root of x^2 = qx + pq.  By induction
+    f(L) <= lam**(L-1) (for L = 0 and 1 since lam < 1), so the term of n,
+    f(L+1)**(N+1-Ln) * f(L)**((L+1)n - (N+1)), is at most lam**(N+1-n);
+    lam > 1 - p^2, the term of chain length 1.  With m the next n, the
+    terms left sum to at most 2 lam**(N+1-m) min(m, 1/(1 - lam)).
 
     That holds for the computed values too, with lam raised by 2**-48
     relative (clipped at 1): the computed q, pq define the recurrence, each
@@ -709,34 +722,12 @@ def expected_missing_diffs_h2(N: int, p: float) -> float:
     within a few roundings.  Each term is within 3 more roundings of its
     bound (two powers and their product), and the bound is raised by
     _SLACK, which covers them, libm pow's error of under 1 ulp and the
-    bound's own roundings.  So every stop is exact, and a sum that never
-    settles adds exactly the kept terms.
+    bound's own roundings.
     """
     if N < 0:
         raise ValueError(f"N: must be non-negative, got {N}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     q = 1.0 - p
-    pq = p * q
-    pair_free = math.log1p(-p * p)  # log P(one disjoint adjacent pair not chosen)
-
-    # The chains jointly contain N+1-n adjacent pairs, at least half of them
-    # disjoint, which bounds the missing probability from above; interior n
-    # whose bound is already negligible are skipped.  The bound grows with n.
-    def kept(n):
-        return not (N + 1 - n) * pair_free / 2.0 < -70.0
-
-    first = 1 + bisect_left(range(1, N + 1), True, key=kept)
-    lam = min(1.0, (q + math.sqrt(q * q + 4.0 * pq)) / 2.0 * (1.0 + 2.0**-48))
-
-    def rest(m):  # a bound on every kept term at n <= m
-        if m < first:
-            return 0.0
-        return _SLACK * 2.0 * math.pow(lam, N + 1 - m) * _geometric(m + 1 - first, 1.0 - lam)
-
-    total = _units(_power(q, N + 1))  # 0 is missing iff A is empty
-    for missing, n in _difference_terms(N, q, pq, first):
-        total += 2 * _exact_sum(missing)
-        if _settled(total, rest(n)):
-            break
-    return total / _UNIT
+    # 0 is missing iff A is empty.
+    return _settled_sum(_units(_power(q, N + 1)), _difference_terms(N, q, p * q))

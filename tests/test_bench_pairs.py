@@ -25,6 +25,7 @@ def test_a_stopped_comparison_leaves_no_child_and_no_copy_behind(tmp_path):
         sys.path.insert(0, {str(SCRIPTS)!r})
         import bench_pairs
         child = [sys.executable, "-c", {child!r}]
+        bench_pairs.resolve = lambda rev: rev
         bench_pairs.checkout = lambda rev, into: into
         bench_pairs.compare = lambda args, sides: bench_pairs.run_child(child)
         bench_pairs.main(["--base", "HEAD", "--pr", "0"])
@@ -59,7 +60,10 @@ def test_a_failing_stage_leaves_the_earlier_stages_in_the_file(tmp_path, monkeyp
     spec = {"command": ["perfbench"], "run_seconds": 1, "workloads": [{"name": "w"}],
             "end_to_end": [{"name": "m", "unit": "s", "better": "lower"}]}
 
+    checked_out = []
+
     def checkout(rev, into):
+        checked_out.append(rev)
         into.mkdir(parents=True)
         (into / "BENCHMARK.json").write_text(json.dumps(spec))
         return into
@@ -75,7 +79,8 @@ def test_a_failing_stage_leaves_the_earlier_stages_in_the_file(tmp_path, monkeyp
     def battery_pairs(sides):
         raise RuntimeError("battery stage failed")
 
-    for name, stub in (("ROOT", tmp_path), ("checkout", checkout), ("bench", bench),
+    for name, stub in (("ROOT", tmp_path), ("resolve", lambda rev: f"hash of {rev}"),
+                       ("checkout", checkout), ("bench", bench),
                        ("tier1", tier1), ("battery_pairs", battery_pairs),
                        ("machine", lambda: {"nproc": 1})):
         monkeypatch.setattr(bench_pairs, name, stub)
@@ -85,8 +90,25 @@ def test_a_failing_stage_leaves_the_earlier_stages_in_the_file(tmp_path, monkeyp
         bench_pairs.main(["--base", "HEAD~1", "--pr", "0"])
     result = json.loads((tmp_path / "BENCH_0.json").read_text())
     assert list(result) == ["pr", "base", "change", "command", "machine", "workloads", "tier1"]
+    assert (result["base"], result["change"]) == ("hash of HEAD~1", "hash of HEAD")
+    assert checked_out == ["hash of HEAD~1", "hash of HEAD"]
     metric = result["workloads"]["w"]["metrics"]["m"]
     assert metric["base"]["runs"] == [2.0] * bench_pairs.PAIRS
     assert metric["change_wins"] == bench_pairs.PAIRS
     assert result["tier1"]["change"]["median_wall_s"] == 5.0
     assert result["tier1"]["base"]["median_durations_s"] == {"test_x": 0.5}
+
+
+def test_resolve_gives_the_hash_git_rev_parse_gives(monkeypatch):
+    # One process at a time: `git rev-parse HEAD`, then resolve's own.  In
+    # a copy that is no git work tree (`git archive`), both must fail.
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=bench_pairs.ROOT,
+                          capture_output=True, text=True)
+    if head.returncode != 0:
+        with pytest.raises(SystemExit, match="HEAD: not a revision"):
+            bench_pairs.resolve("HEAD")
+    else:
+        assert bench_pairs.resolve("HEAD") == head.stdout.strip()

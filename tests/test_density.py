@@ -439,10 +439,14 @@ def test_missing_sum_probability_rounds_its_power_once(N, p):
 
 
 # The per-value loops the two exact laws were first written as.  The laws now
-# share chain recurrences, take runs of correctly rounded powers, sum their
-# terms exactly in chunks and stop once the rest cannot change the rounded
-# sum, and must keep every bit.  The loops take each power on its own,
-# correctly rounded, since libm's pow may round either way.
+# share chain recurrences, take runs of correctly rounded powers, and sum
+# every term exactly in chunks, stopping only once the rest cannot change the
+# rounded sum; they must keep every bit.  The loops keep their old cutoffs
+# (terms below 1e-30, n whose disjoint-pair bound is below e**-70), which drop
+# only terms that never reach the rounding at the tested (N, p); without them
+# the differences loop would run its recurrence about N ln N steps at
+# N = 3 * 10**6.  The loops take each power on its own, correctly rounded,
+# since libm's pow may round either way.
 
 
 def _rounded_powers(N):
@@ -525,11 +529,15 @@ def _expected_missing_diffs_loop(N, p):
         # the differences law settles after 6 chunks, inside the 250k n of
         # chain length 1
         (499_999, 499_999**-0.3),
-        # sums run to the midpoint untruncated across several chunks, at both
-        # parities of N; every n kept, and chain length 3 alone spans 16.7k n
+        # sums run to the midpoint across several chunks, at both parities of
+        # N; the loops' cutoffs drop no term, and chain length 3 alone spans
+        # 16.7k n
         (10**5, 0.001),
         (10**5 + 1, 0.001),
         (2 * 10**5, 0.02),
+        # both laws sum a whole first chunk of 2**14 powers, far past the
+        # loops' cutoffs, most of them zero
+        (10**5, 0.5),
     ],
 )
 def test_missing_laws_equal_the_loops_bit_for_bit(N, p):
@@ -541,10 +549,14 @@ def test_missing_laws_equal_the_loops_bit_for_bit(N, p):
 @example(400, 0.9)
 @example(399, 0.9)
 @example(1, 0.5)
+@example(300, 2**-30)
+@example(301, 1 - 2**-30)
 @settings(max_examples=80, deadline=None)
 def test_missing_laws_equal_the_loops_small_n(N, p):
-    # Covers both parities of N, sums cut short by the 1e-30 tail and sums
-    # run to the midpoint, and differences with and without skipped n.
+    # Covers both parities of N, and loops cut short by their cutoffs or run
+    # to the end; the laws sum every term either way.  At p = 2**-30,
+    # 1 - p**2 is 1.0: no sums term decays, so no stop fires before the
+    # midpoint.
     assert expected_missing_sums_h2(N, p) == _expected_missing_sums_loop(N, p)
     assert expected_missing_diffs_h2(N, p) == _expected_missing_diffs_loop(N, p)
 
@@ -554,8 +566,8 @@ def test_missing_laws_stop_once_settled(monkeypatch):
     powers = density._powers
     monkeypatch.setattr(density, "_powers", lambda base, start, step, count, out=None:
                         counted.append(count) or powers(base, start, step, count, out))
-    # At slow_h2's N and p the laws stop long before their cutoffs: they
-    # evaluated 892,928 powers when they ran to them.
+    # At slow_h2's N and p the laws stop long before the loops' cutoffs:
+    # they evaluated 892,928 powers when they ran to them.
     N = 10**6
     p = N**-0.3
     expected_missing_sums_h2(N, p)
