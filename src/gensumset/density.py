@@ -41,7 +41,8 @@ SUM_DOMINATED_LIMIT_FRACTION = 4.5e-4
 COMPLEMENT_RATIO_LIMIT_H2 = 2.0
 
 _G_DIGITS = 34  # working digits of g_series
-_CHUNK = 1 << 14  # terms per chunk of the slow-h2 laws, each summed exactly at once
+_FIRST = 1 << 8  # terms in the first chunk of a slow-h2 law; each next chunk doubles
+_CHUNK = 1 << 14  # up to this many terms, each chunk summed exactly at once
 _UNIT = 2**1126  # every finite double is a whole number of 2**-1126 (see _exact_sum)
 _SLACK = 1.0 + 2.0**-20  # raises each slow-h2 tail bound past its rounding errors
 _PREC = 128  # bits of _bounds' first try, beyond the exponent's
@@ -605,9 +606,9 @@ def _settled_sum(total: int, chunks) -> float:
 
 
 def _sum_terms(N: int, p: float):
-    """The terms of expected_missing_sums_h2 for the values 1 to N-1, for
-    _CHUNK exponents j at a time, each chunk yielded with the bound on the
-    terms after it, lazily.
+    """The terms of expected_missing_sums_h2 for the values 1 to N-1, in
+    chunks of exponents j that start at _FIRST and double up to _CHUNK, each
+    chunk yielded with the bound on the terms after it, lazily.
 
     q**j is the missing probability of the odd value 2j-1 < N, and
     q**j * (1-p) that of 2j if below N.  A chunk of j comes as its odd
@@ -618,14 +619,15 @@ def _sum_terms(N: int, p: float):
     q = 1.0 - p * p
     half, last_even = N // 2, (N - 1) // 2  # largest j with 2j-1 < N, with 2j < N
     odds, evens = np.empty((2, min(_CHUNK, half)))
-    for lo in range(1, half + 1, _CHUNK):
-        size = min(_CHUNK, half + 1 - lo)
+    lo, chunk = 1, _FIRST
+    while lo <= half:
+        size = min(chunk, half + 1 - lo)
         even = min(size, last_even + 1 - lo)
         odd = _powers(q, lo, 1, size, out=odds[:size])
         np.multiply(odd[:even], 1.0 - p, out=evens[:even])
         yield odd, math.inf
-        J = lo + size
-        yield evens[:even], _SLACK * 4.0 * math.pow(q, J) * _geometric(half + 1 - J, 1.0 - q)
+        lo, chunk = lo + size, min(2 * chunk, _CHUNK)  # lo is the next exponent J
+        yield evens[:even], _SLACK * 4.0 * math.pow(q, lo) * _geometric(half + 1 - lo, 1.0 - q)
 
 
 def expected_missing_sums_h2(N: int, p: float) -> float:
@@ -638,7 +640,9 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
     bits of the per-value loop over missing_sum_probability_h2, on any
     platform.
 
-    The terms come in chunks of _CHUNK powers q**j, j rising (_sum_terms).
+    The terms come in chunks of powers q**j, j rising, the first of _FIRST
+    powers and each next one twice as many, up to _CHUNK (_sum_terms): a
+    sum that settles early, as at a large p, evaluates few powers.
     The terms left from the next exponent J on are 2 q**j and 2 (q**j (1-p))
     for J <= j <= N//2, at most 4 q**j each, and so sum to at most
     4 q**J min(N//2 + 1 - J, 1/(1 - q)).  The bound is raised by _SLACK,
@@ -660,11 +664,12 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
 
 def _difference_terms(N: int, q: float, pq: float):
     """The terms of expected_missing_diffs_h2 for n = N down to 1, in chunks
-    of at most _CHUNK n of one chain length, each yielded with the bound on
-    the terms after it, lazily.
+    of n of one chain length, each yielded with the bound on the terms after
+    it, lazily.  The chunks hold at most _FIRST n at first, twice as many
+    in each next one up to _CHUNK, across chain lengths.
 
     Walks the chain lengths from n = N down, running the recurrence f
-    once up to each, and takes each length's n _CHUNK at a time, as two
+    once up to each, and takes each length's n a chunk at a time, as two
     runs of powers from cached tables (_powers): f(length + 1)'s exponents
     rise by length as n falls, and f(length)'s fall by length + 1.  At
     length 1 prev is 1.0, and 1.0 ** k is exactly 1.0, so no power of it
@@ -672,22 +677,21 @@ def _difference_terms(N: int, q: float, pq: float):
     """
     lam = min(1.0, (q + math.sqrt(q * q + 4.0 * pq)) / 2.0 * (1.0 + 2.0**-48))
     missings, factors = np.empty((2, min(_CHUNK, N)))
-    prev, cur, steps, n = 1.0, 1.0, 0, N
+    prev, cur, steps, n, chunk = 1.0, 1.0, 0, N, _FIRST
     while n >= 1:
         length = (N + 1) // n
-        count = n - (N + 1) // (length + 1)
         for _ in range(length - steps):
             prev, cur = cur, q * cur + pq * prev
         steps = length
-        for top in range(n, n - count, -_CHUNK):
-            part = min(_CHUNK, top + count - n)
-            missing = _powers(cur, N + 1 - length * top, length, part, out=missings[:part])
+        end = (N + 1) // (length + 1)  # the n of this length are end + 1 to n
+        while n > end:
+            part = min(chunk, n - end)
+            missing = _powers(cur, N + 1 - length * n, length, part, out=missings[:part])
             if length > 1:
-                missing *= _powers(prev, (length + 1) * top - (N + 1), -(length + 1), part,
+                missing *= _powers(prev, (length + 1) * n - (N + 1), -(length + 1), part,
                                    out=factors[:part])
-            m = top - part  # the next n
-            yield missing, _SLACK * 2.0 * math.pow(lam, N + 1 - m) * _geometric(m, 1.0 - lam)
-        n -= count
+            n, chunk = n - part, min(2 * chunk, _CHUNK)
+            yield missing, _SLACK * 2.0 * math.pow(lam, N + 1 - n) * _geometric(n, 1.0 - lam)
 
 
 def expected_missing_diffs_h2(N: int, p: float) -> float:

@@ -55,9 +55,7 @@ all three give the same sumset.
   which covers the fast-decay sets (|A| ~ 32 for h = 2 and 16 for h = 3).
 
 The cardinality is the enumeration's length, the big int's bit_count, or,
-after the byte fold, a SWAR popcount over little-endian uint64 words in
-blocks of 64 KB.  Only APIs of numpy 1.22, the declared minimum, are used:
-no np.bitwise_count (numpy 2.0).
+after the byte fold, np.bitwise_count over the vector's uint64 words.
 
 records(params, trials, combos, probes, threads) is the experiment
 pipeline's one entry, and every kernel decision is made below it.  It
@@ -124,10 +122,9 @@ DEFAULT_BIT_BUDGET = 10**9
 BYTE_FOLD_MIN_N = 1 << 15
 BIT_SLICE_MAX_N = 512
 _FOLD_BYTES = 1 << 17  # bound on the term buffer of one _fold_words block
-_BLOCK_WORDS = 1 << 13  # 64 KB of words per block of _popcount; gathers per block of _sieve
+_BLOCK_WORDS = 1 << 13  # shifts per gather of _sieve; 8x as many bytes per _edge_fold scan
 _EDGE_COVERS = 14  # K * |B| / span(B), for the K shifts an _edge_fold ORs at each end of B
 _SIEVE_BYTES = 64  # bytes of acc per byte left open, above which _edge_fold folds the middle
-_M1, _M2, _M4, _H01 = (np.uint64(0x0101010101010101 * m) for m in (0x55, 0x33, 0x0F, 1))
 _CSV_ROWS = 1 << 16  # membership rows that write_membership_csv formats at once
 # Up to BIT_SLICE_MAX_N, records folds a batch of whole 64-set words, sized
 # so that a batch's largest temporaries, the membership matrix and one
@@ -330,22 +327,11 @@ def _edge_fold(acc: np.ndarray, shifts: np.ndarray, out: np.ndarray,
 
 
 def _popcount(packed: np.ndarray) -> int:
-    """Set bits of packed bytes, by a SWAR count over little-endian words.
-
-    The words are taken _BLOCK_WORDS at a time, so the temporaries stay
-    at 64 KB each, and the last size % 8 bytes go through int.bit_count.
-    Only numpy 1.22 APIs: no np.bitwise_count.
-    """
+    """Set bits of packed bytes: np.bitwise_count over the little-endian
+    words, and int.bit_count over the last size % 8 bytes."""
     whole = packed.size - packed.size % 8
-    words = packed[:whole].view("<u8")
-    total = int.from_bytes(packed[whole:].tobytes(), "little").bit_count()
-    for lo in range(0, words.size, _BLOCK_WORDS):
-        x = words[lo : lo + _BLOCK_WORDS]
-        x = x - ((x >> 1) & _M1)
-        x = (x >> 2 & _M2) + np.bitwise_and(x, _M2, out=x)  # in place: 3 temporaries at most
-        x = (x + (x >> 4)) & _M4
-        total += int(((x * _H01) >> 56).sum())
-    return total
+    tail = int.from_bytes(packed[whole:].tobytes(), "little").bit_count()
+    return int(np.bitwise_count(packed[:whole].view("<u8")).sum()) + tail
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -579,6 +579,12 @@ def test_missing_laws_stop_once_settled(monkeypatch):
     counted.clear()
     expected_missing_diffs_h2(2 * 10**5, 0.02)
     assert sum(counted) <= 100_000
+    # At a large p each law settles within its first few hundred terms, so
+    # it evaluates no more powers than its first two chunks hold.
+    for law in (expected_missing_sums_h2, expected_missing_diffs_h2):
+        counted.clear()
+        law(10**5, 0.5)
+        assert sum(counted) <= 1024, law
 
 
 # Non-negative finite doubles: zeros, subnormals, the largest binades, and

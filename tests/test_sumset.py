@@ -581,17 +581,21 @@ def test_windowed_fold_skips_most_bytes_at_slow_decay(monkeypatch):
     ),
     st.sampled_from(["random", "ones", "sparse"]),
     st.integers(0, 2**32 - 1),
+    st.integers(0, 7),
 )
 @settings(max_examples=120, deadline=None)
-def test_blocked_popcount_equals_bit_count(length, fill, seed):
-    # Lengths that are not whole words, and that cross a block boundary.
+def test_blocked_popcount_equals_bit_count(length, fill, seed, offset):
+    # Lengths that are not whole words, short ones and some near 64 and
+    # 128 KB, counted from an offset of 0-7 bytes, so the words may be unaligned.
     rng = np.random.default_rng(seed)
+    size = offset + length
     if fill == "ones":
-        packed = np.full(length, 0xFF, dtype=np.uint8)
+        packed = np.full(size, 0xFF, dtype=np.uint8)
     else:
-        packed = rng.integers(0, 256, size=length, dtype=np.uint8)
+        packed = rng.integers(0, 256, size=size, dtype=np.uint8)
         if fill == "sparse":
-            packed &= rng.random(length) < 0.01
+            packed &= rng.random(size) < 0.01
+    packed = packed[offset:]
     assert _popcount(packed) == int.from_bytes(packed.tobytes(), "little").bit_count()
 
 
