@@ -10,10 +10,12 @@ sums of terms built from correctly rounded powers, largest first, added
 exactly in chunks and rounded once; each law stops as soon as a bound on
 the terms it has not yet added proves that they cannot change the rounded
 sum.  The powers come in runs, each a cached table of double-doubles
-times the run's first power (_powers): the sums law's one run, and two
-runs per chain length for the differences law.  Each rounding is certified
-against one relative error bound, _EPS = 2**-96, and exact integer bounds
-decide the few it cannot, so no term depends on the platform's libm.
+times the run's first power (_powers): one run a chunk for the sums law,
+its odd terms, whose products by 1 - p are its even ones, and two runs a
+chunk for the differences law.  Each table is built once per size, from
+its cached half.  Each rounding is certified against one relative error
+bound, _EPS = 2**-96, and exact integer bounds decide the few it cannot,
+so no term depends on the platform's libm.
 libm is left only in the stop bounds' pow, whose error _SLACK covers.
 
 Everything is a pure function; the constant tables are cached and safe for
@@ -41,8 +43,8 @@ SUM_DOMINATED_LIMIT_FRACTION = 4.5e-4
 COMPLEMENT_RATIO_LIMIT_H2 = 2.0
 
 _G_DIGITS = 34  # working digits of g_series
-_FIRST = 1 << 8  # terms in the first chunk of a slow-h2 law; each next chunk doubles
-_CHUNK = 1 << 14  # up to this many terms, each chunk summed exactly at once
+_FIRST = 1 << 8  # terms in the first chunk of either slow-h2 law; each next chunk doubles
+_CHUNK = 1 << 14  # terms of either law's largest chunk, each chunk summed exactly at once
 _UNIT = 2**1126  # every finite double is a whole number of 2**-1126 (see _exact_sum)
 _SLACK = 1.0 + 2.0**-20  # raises each slow-h2 tail bound past its rounding errors
 _PREC = 128  # bits of _bounds' first try, beyond the exponent's
@@ -456,23 +458,25 @@ def _dd_times(a_hi, a_lo, b: tuple[float, float], hi, lo, work) -> None:
     np.copyto(hi, a1)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=32)
 def _table(base: float, step: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The double-doubles (base**step)**i for i < size (a power of two), read-only.
 
-    Doubled in place: entries [m, 2m) are entries [0, m) times
-    _dd_power(base, step * m).  So entry i is a product of popcount(i)
-    such factors, each within about u**2, in as many _dd_times: within
-    11 u**2 popcount(i) relative.
+    Size 1 is exactly (1, 0).  A larger table is the cached table of half
+    its size, m entries, followed by those times _dd_power(base, step * m),
+    so each doubling is computed once per (base, step), and the 32 cached
+    tables hold the chains of sizes of two bases.  Entry i is a product of
+    popcount(i) such factors, each within about u**2, in as many _dd_times:
+    within 11 u**2 popcount(i) relative.
     """
-    hi, lo = np.empty((2, size))
-    hi[0], lo[0] = 1.0, 0.0
-    work = np.empty((2, size // 2))
-    m = 1
-    while m < size:
-        _dd_times(hi[:m], lo[:m], _dd_power(base, step * m), hi[m:2 * m], lo[m:2 * m],
-                  work[:, :m])
-        m *= 2
+    if size == 1:
+        hi, lo = np.array([[1.0], [0.0]])
+    else:
+        m = size // 2
+        half_hi, half_lo = _table(base, step, m)
+        hi, lo = np.empty((2, size))
+        hi[:m], lo[:m] = half_hi, half_lo
+        _dd_times(half_hi, half_lo, _dd_power(base, step * m), hi[m:], lo[m:], np.empty((2, m)))
     hi.flags.writeable = lo.flags.writeable = False
     return hi, lo
 
@@ -483,10 +487,11 @@ def _powers(base: float, start: int, step: int, count: int, out=None) -> np.ndar
     For a double 0 <= base <= 1 and exponents >= 0; step may be negative.
     Written into out (length count) if given, else into a new array.
 
-    Each block of _BLOCK exponents is one vectorized _dd_times of the
-    _table of (base, |step|) by _dd_power(base, first exponent).  That is
-    within (11 * 12 + 1 + 9) u**2 < 2**-98 of the power relative, and
-    _settle certifies it against _EPS = 2**-96.
+    Each block of exponents is one vectorized _dd_times of the _table of
+    (base, |step|) by _dd_power(base, first exponent); the table, and so
+    the block, is the least power of two that holds count, up to _BLOCK
+    entries.  That is within (11 * 12 + 1 + 9) u**2 < 2**-98 of the power
+    relative, and _settle certifies it against _EPS = 2**-96.
     """
     out = np.empty(count) if out is None else out
     run = out
@@ -607,27 +612,25 @@ def _settled_sum(total: int, chunks) -> float:
 
 def _sum_terms(N: int, p: float):
     """The terms of expected_missing_sums_h2 for the values 1 to N-1, in
-    chunks of exponents j that start at _FIRST and double up to _CHUNK, each
-    chunk yielded with the bound on the terms after it, lazily.
+    chunks of at most _FIRST terms at first, twice as many in each next one
+    up to _CHUNK, each yielded with the bound on the terms after it, lazily.
 
     q**j is the missing probability of the odd value 2j-1 < N, and
-    q**j * (1-p) that of 2j if below N.  A chunk of j comes as its odd
-    terms, with an infinite bound since its even terms are still to come,
-    then its even terms: summed at once, they would double _exact_sum's
-    temporaries past glibc's 128 KB mmap threshold, mapped afresh each call.
+    q**j * (1-p) that of 2j if below N.  A chunk takes chunk // 2 exponents
+    j and holds their odd terms, then their even terms, in one buffer.
     """
     q = 1.0 - p * p
     half, last_even = N // 2, (N - 1) // 2  # largest j with 2j-1 < N, with 2j < N
-    odds, evens = np.empty((2, min(_CHUNK, half)))
+    terms = np.empty(min(_CHUNK, 2 * half))
     lo, chunk = 1, _FIRST
     while lo <= half:
-        size = min(chunk, half + 1 - lo)
+        size = min(chunk // 2, half + 1 - lo)
         even = min(size, last_even + 1 - lo)
-        odd = _powers(q, lo, 1, size, out=odds[:size])
-        np.multiply(odd[:even], 1.0 - p, out=evens[:even])
-        yield odd, math.inf
+        odd = _powers(q, lo, 1, size, out=terms[:size])
+        np.multiply(odd[:even], 1.0 - p, out=terms[size:size + even])
         lo, chunk = lo + size, min(2 * chunk, _CHUNK)  # lo is the next exponent J
-        yield evens[:even], _SLACK * 4.0 * math.pow(q, lo) * _geometric(half + 1 - lo, 1.0 - q)
+        bound = _SLACK * 4.0 * math.pow(q, lo) * _geometric(half + 1 - lo, 1.0 - q)
+        yield terms[:size + even], bound
 
 
 def expected_missing_sums_h2(N: int, p: float) -> float:
@@ -640,9 +643,10 @@ def expected_missing_sums_h2(N: int, p: float) -> float:
     bits of the per-value loop over missing_sum_probability_h2, on any
     platform.
 
-    The terms come in chunks of powers q**j, j rising, the first of _FIRST
-    powers and each next one twice as many, up to _CHUNK (_sum_terms): a
-    sum that settles early, as at a large p, evaluates few powers.
+    The terms come in chunks, j rising, each the odd terms of its run of
+    powers q**j and then the even ones, the first of _FIRST terms and each
+    next one twice as many, up to _CHUNK (_sum_terms): a sum that settles
+    early, as at a large p, evaluates few powers.
     The terms left from the next exponent J on are 2 q**j and 2 (q**j (1-p))
     for J <= j <= N//2, at most 4 q**j each, and so sum to at most
     4 q**J min(N//2 + 1 - J, 1/(1 - q)).  The bound is raised by _SLACK,

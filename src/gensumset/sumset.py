@@ -6,8 +6,8 @@ element of B, so one fold costs |B| shifts.  Minus blocks are handled by
 reflecting A to {N - a} and adding, which keeps every intermediate index
 non-negative; the stored vector is indexed by n + dN over [0, hN].
 
-There are three kernels, chosen by kernel_branch from N, h and |A| alone;
-all three give the same sumset.
+There are three kernels, chosen per set by kernel_branch from N, the
+combos' largest h and |A| alone; all three give the same sumset.
 
 - Below BYTE_FOLD_MIN_N = 2^15 ("int") the vector is an arbitrary-size int
   and each shift is a big-int shift and OR.
@@ -66,11 +66,11 @@ set's elements by binary search (_missing_sums), 0.1-0.2 ms for a
 slow_h2 set (|A| ~ 15.8k), and is 0 with no probes.  Up to BIT_SLICE_MAX_N
 it samples and folds the trials in bit-sliced batches (sample_members,
 _batch_records); above it, it draws the sets on `threads` threads
-(sample_sets) and folds each with _trial_record, whose kernel kernel_branch
-picks.  The records are the same either way.  sample_sets makes its
-thread pool once per call, and its workers draw trial t + 1 while this
-thread folds trial t: the Philox draws release the GIL and overlap the
-memory-bound ORs.  A critical_h3 trial (N = 10^6, |A| ~ 200) drew for
+(sample_sets) and folds each with _trial_record, whose one kernel a set
+kernel_branch picks.  The records are the same either way.  sample_sets
+makes its thread pool once per call, and its workers draw trial t + 1
+while this thread folds trial t: the Philox draws release the GIL and
+overlap the memory-bound ORs.  A critical_h3 trial (N = 10^6, |A| ~ 200) drew for
 about 8 ms on 2 cores, then folded for 10 ms on one; pipelined, its folds
 take 12-13 ms beside the draw and the caller waits about 1 ms a trial for
 the rest of the set (warm process, 2 cores, numpy 2.4.6).
@@ -357,7 +357,8 @@ def _enumerated_sums(values: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 
 def kernel_branch(N: int, h: int, size: int) -> str:
-    """Which kernel gen_sumset runs for |A| = size > 0 (module docstring).
+    """Which kernel _walk runs for a set: chosen per set, from N, the
+    combos' largest h and |A| = size > 0 (module docstring).
 
     "int" below BYTE_FOLD_MIN_N; from there "enumerate" while the
     enumeration's 17 bytes per sum of the last outer sum, size^h of them at
@@ -377,34 +378,33 @@ def _walk(A: SampledSet, combos, buffers: FoldBuffers):
     Combo (s, d) starts from A and folds s - 1 copies of A, then d of the
     reflection {N - a}.  Set addition is associative and commutative, so the
     order is semantically irrelevant; fixing it keeps runs reproducible.
-    Each combo runs the kernel that kernel_branch picks from N, h and |A|
-    (see the module docstring).  The combos are walked in the order of
-    their branch and sign sequence, depth first through the trie of the
-    sequences, so a prefix that several combos share, A + A for (2,1) and
-    (3,0), is folded once.  The folded sum is a big int, the distinct
-    offsets n + dN in an ascending int64 array, or packed bytes over the
-    offsets, whose vector at depth j lives in buffers, (j + 1)(N // 8 + 1)
-    bytes long, and is overwritten by the walk's next fold at that depth:
-    read each sum before the walk goes on.  Every byte fold is an
-    _edge_fold, whose shifts, A or its reflection (kept in buffers), are
-    int64 arrays.
+    Every combo runs the one kernel that kernel_branch picks per set, from
+    N, the combos' largest h and |A| (see the module docstring): that h sets
+    the enumeration's memory cap, so every combo stays under it.  The combos
+    are walked in the order of their sign sequence, depth first through the
+    trie of the sequences, so a prefix that several combos share, A + A for
+    (2,1) and (3,0), is folded once.  The folded sum is a big int, the
+    distinct offsets n + dN in an ascending int64 array, or packed bytes
+    over the offsets, whose vector at depth j lives in buffers,
+    (j + 1)(N // 8 + 1) bytes long, and is overwritten by the walk's next
+    fold at that depth: read each sum before the walk goes on.  Every byte
+    fold is an _edge_fold, whose shifts, A or its reflection (kept in
+    buffers), are int64 arrays.
     """
-    N, size = A.N, A.size
-    order = sorted((kernel_branch(N, combo.h, size), "+" * (combo.s - 1) + "-" * combo.d, i)
-                   for i, combo in enumerate(combos))
-    branch = path = None
-    for kernel, signs, i in order:
-        if kernel != branch:
-            branch, path = kernel, ""
-            if branch == "int":
-                elements = A.elements.tolist()
-                bases = {"+": elements, "-": [N - a for a in reversed(elements)]}
-                sums = [A.bitmask()]
-            else:
-                reflection = buffers.take("-", A.size, np.int64)
-                bases = {"+": A.elements, "-": np.subtract(N, A.elements[::-1], out=reflection)}
-                sums = [A.elements if branch == "enumerate"
-                        else scatter_bits(A.elements, buffers.take(0, N // 8 + 1))]
+    N = A.N
+    branch = kernel_branch(N, max(combo.h for combo in combos), A.size)
+    if branch == "int":
+        elements = A.elements.tolist()
+        bases = {"+": elements, "-": [N - a for a in reversed(elements)]}
+        sums = [A.bitmask()]
+    else:
+        reflection = buffers.take("-", A.size, np.int64)
+        bases = {"+": A.elements, "-": np.subtract(N, A.elements[::-1], out=reflection)}
+        sums = [A.elements if branch == "enumerate"
+                else scatter_bits(A.elements, buffers.take(0, N // 8 + 1))]
+    path = ""
+    for signs, i in sorted(("+" * (combo.s - 1) + "-" * combo.d, i)
+                           for i, combo in enumerate(combos)):
         del sums[len(os.path.commonprefix([path, signs])) + 1 :]
         for j in range(len(sums), len(signs) + 1):
             shifts = bases[signs[j - 1]]

@@ -438,6 +438,37 @@ def test_missing_sum_probability_rounds_its_power_once(N, p):
         assert missing_sum_probability_h2(n, N, p) == expected, n
 
 
+def test_tables_double_each_size_once(monkeypatch):
+    # A table is its cached half and one _dd_times more, so sizes 2**7 to
+    # 2**12 of one (base, step), asked for in turn, take 12 doublings; built
+    # from size 1 each time, they took 7 + 8 + ... + 12 = 57.
+    calls = []
+    dd_times = density._dd_times
+    monkeypatch.setattr(density, "_dd_times", lambda *args: calls.append(1) or dd_times(*args))
+    density._table.cache_clear()
+    base, step = 1.0 - (10**6) ** -0.6, 3
+    tables = [density._table(base, step, 1 << k) for k in range(7, 13)]
+    assert len(calls) == 12
+    for (hi, lo), (larger_hi, larger_lo) in zip(tables, tables[1:]):
+        assert np.array_equal(hi, larger_hi[: hi.size])
+        assert np.array_equal(lo, larger_lo[: lo.size])
+    hi, lo = tables[-1]
+    assert (hi[0], lo[0]) == (1.0, 0.0)
+    rng = random.Random(f"{base}/{step}")
+    for i in {1, hi.size - 1, *rng.sample(range(hi.size), 32)}:
+        assert hi[i] == _rounded_once(base, step * i), i
+
+
+@pytest.mark.parametrize("N, p", [(10**6, (10**6) ** -0.3), (10**5, 0.001), (100, 0.5)])
+def test_missing_law_chunks_are_one_bounded_array(N, p):
+    # Each chunk of either law is one array of at most _CHUNK terms, yielded
+    # with a finite bound on the terms after it, so every chunk may stop a sum.
+    q = 1.0 - p
+    for terms, bound in [*density._sum_terms(N, p), *density._difference_terms(N, q, p * q)]:
+        assert terms.size <= density._CHUNK
+        assert bound < math.inf
+
+
 # The per-value loops the two exact laws were first written as.  The laws now
 # share chain recurrences, take runs of correctly rounded powers, and sum
 # every term exactly in chunks, stopping only once the rest cannot change the
@@ -535,8 +566,8 @@ def _expected_missing_diffs_loop(N, p):
         (10**5, 0.001),
         (10**5 + 1, 0.001),
         (2 * 10**5, 0.02),
-        # both laws sum a whole first chunk of 2**14 powers, far past the
-        # loops' cutoffs, most of them zero
+        # at a large p the laws settle within their first chunks, after 384
+        # and 256 powers
         (10**5, 0.5),
     ],
 )

@@ -389,12 +389,14 @@ def test_b_derived_battery_reports_regenerate(stem):
 
 
 @pytest.mark.parametrize(
-    "stem", ["fast_h2", "fast_h3", "concentration_h2", "concentration_h3"]
+    "stem", ["fast_h2", "fast_h3", "concentration_h2", "concentration_h3", "slow_h2"]
 )
 def test_fast_battery_reports_regenerate(stem):
     # With critical_h2 and critical_h3 above, this pins the large-N sets of
     # sample_set (N = 10^5 and 10^6) and both large-N kernels, the byte fold
-    # and the enumeration, to the checked-in reports byte for byte.
+    # and the enumeration, to the checked-in reports byte for byte.  slow_h2
+    # also pins the edge fold's sieve and both exact missing-value laws at
+    # N = 10^6.
     data = json.loads((ROOT / "scripts" / "configs" / f"{stem}.json").read_text())
     report = run_experiment(config_from_jsonable(data), workers=2)
     assert report.to_json() == (ROOT / "results" / f"{stem}.json").read_text()

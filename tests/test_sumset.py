@@ -781,6 +781,24 @@ def test_trial_record_folds_each_shared_prefix_once(monkeypatch):
     assert record == _per_set_record(A, combos, gen_sumset)
 
 
+def test_trial_record_picks_one_kernel_a_set(monkeypatch):
+    # The combos' largest h sets the enumeration's memory cap, so one
+    # kernel_branch call serves every combo of a set: here h = 3 takes the
+    # byte fold for (2,0) too, which alone the rule would enumerate.
+    N = 10**5
+    A = _set([0, N, *range(1, 3000, 79)], N)
+    combos = _combos((3, 0), (2, 1), (3, 0), (2, 0))
+    assert [sumset.kernel_branch(N, h, A.size) for h in (2, 3)] == ["enumerate", "bytes"]
+    asked, kernel_branch = [], sumset.kernel_branch
+    monkeypatch.setattr(sumset, "kernel_branch",
+                        lambda *args: asked.append(args) or kernel_branch(*args))
+    record = _trial_record(A, combos, FoldBuffers())
+    assert asked == [(N, 3, A.size)]
+    monkeypatch.undo()
+    assert record == _per_set_record(A, combos, gen_sumset)
+    assert record == _per_set_record(A, combos, gen_sumset_naive)
+
+
 def test_trial_record_allocates_no_output_vector_after_its_first_call():
     # At critical_h3's parameters both combos take the byte fold, folded
     # whole; at slow_h2's both fold their ends and sieve.  With the buffers
